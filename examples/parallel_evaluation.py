@@ -120,7 +120,6 @@ def main() -> None:
             handle = store.window_handle(window.start, window.stop)
             farm = MasterSlaveEvaluator(
                 evaluator_factory=SpecEvaluatorFactory(spec, handle),
-                dispatch="chunked",
                 n_workers=2,
             )
             try:

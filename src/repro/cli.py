@@ -111,12 +111,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--hosts", nargs="+", default=None, metavar="HOST:PORT",
                        help="remote worker hosts for the 'remote' backend, "
                             "one slave per entry (implies --backend remote)")
-    p_run.add_argument("--steal-mode", default="master",
-                       choices=["master", "shm"],
-                       help="chunk-queue substrate of the process farms: "
-                            "'master' routes every refill through the master, "
-                            "'shm' lets slaves self-serve and steal through "
-                            "shared-memory deques (default: master)")
     p_run.add_argument("--seed", type=int, default=0)
     p_run.add_argument("--connect", default=None, metavar="HOST:PORT",
                        help="submit the run to a running 'repro serve' daemon "
@@ -194,12 +188,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan.add_argument("--hosts", nargs="+", default=None, metavar="HOST:PORT",
                         help="remote worker hosts for the 'remote' backend, "
                              "one slave per entry (requires --backend remote)")
-    p_scan.add_argument("--steal-mode", default="master",
-                        choices=["master", "shm"],
-                        help="chunk-queue substrate of the process farms: "
-                             "'master' routes every refill through the "
-                             "master, 'shm' lets slaves self-serve and steal "
-                             "through shared-memory deques (default: master)")
     p_scan.add_argument("--cost-model", default=None, metavar="PATH",
                         help="JSON file with a calibrated evaluation-cost "
                              "model ({\"base_seconds\": ..., "
@@ -270,7 +258,9 @@ def build_parser() -> argparse.ArgumentParser:
              "serve one slave process per connection",
     )
     p_worker.add_argument("--bind", required=True, metavar="HOST:PORT",
-                          help="address to listen on, e.g. 0.0.0.0:7777")
+                          help="address to listen on, e.g. 127.0.0.1:7777; "
+                               "any non-loopback host (0.0.0.0, :PORT) needs "
+                               "REPRO_REMOTE_AUTHKEY")
     p_worker.add_argument("--max-connections", type=int, default=None,
                           help="serve this many master connections, then "
                                "exit (default: serve forever)")
@@ -285,7 +275,8 @@ def build_parser() -> argparse.ArgumentParser:
                               "249-SNP chromosome-scale panel)")
     p_serve.add_argument("--bind", default="127.0.0.1:7788", metavar="HOST:PORT",
                          help="address to listen on (default 127.0.0.1:7788; "
-                              "port 0 binds an ephemeral port)")
+                              "port 0 binds an ephemeral port; a non-loopback "
+                              "host needs REPRO_REMOTE_AUTHKEY)")
     p_serve.add_argument("--status", action="store_true",
                          help="probe the daemon at --bind and print its "
                               "status (cache, admission, farm health, "
@@ -314,9 +305,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="run the substrate on the 2-bit packed panel")
     p_serve.add_argument("--hosts", nargs="+", default=None, metavar="HOST:PORT",
                          help="remote worker hosts for the 'remote' backend")
-    p_serve.add_argument("--steal-mode", default="master",
-                         choices=["master", "shm"],
-                         help="chunk-queue substrate of the process farms")
     p_serve.add_argument("--cost-model", default=None, metavar="PATH",
                          help="calibrated evaluation-cost model JSON; prices "
                               "requests for admission and drives "
@@ -509,7 +497,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
             chunk_size=args.chunk_size,
             packed=args.packed,
             hosts=tuple(args.hosts) if args.hosts else None,
-            steal_mode=args.steal_mode,
         )
     )
     result = run.result
@@ -595,13 +582,6 @@ def _cmd_scan(args: argparse.Namespace) -> int:
         print(f"scan --hosts requires --backend remote, not {args.backend!r}",
               file=sys.stderr)
         return 2
-    if args.steal_mode != "master" and args.backend in ("serial", "threads", "remote"):
-        print(
-            f"scan --steal-mode shm needs a local process-farm backend "
-            f"(process, process-shm, async), not {args.backend!r}",
-            file=sys.stderr,
-        )
-        return 2
     error = _panel_flags_error("scan", args)
     if error is not None:
         print(error, file=sys.stderr)
@@ -639,7 +619,6 @@ def _cmd_scan(args: argparse.Namespace) -> int:
         resume=args.resume,
         packed=packed,
         hosts=tuple(args.hosts) if args.hosts else None,
-        steal_mode=args.steal_mode,
     )
     print(report.format(top=args.top))
     print()
@@ -751,7 +730,7 @@ def _cmd_worker(args: argparse.Namespace) -> int:
     import threading
     from multiprocessing import Pipe
 
-    from .runtime.remote import parse_host, serve
+    from .runtime.remote import InsecureBindError, serve
 
     # announce only once serve() reports readiness over the pipe: by then the
     # listener is bound (the banner carries the resolved ephemeral port) and
@@ -766,8 +745,12 @@ def _cmd_worker(args: argparse.Namespace) -> int:
         print(f"repro-ga worker host listening on {host}:{port}", flush=True)
 
     threading.Thread(target=announce, daemon=True).start()
-    serve(parse_host(args.bind), max_connections=args.max_connections,
-          _ready=send_end)
+    try:
+        serve(args.bind, max_connections=args.max_connections, _ready=send_end)
+    except InsecureBindError as exc:
+        send_end.close()  # wakes the announcer with EOF
+        print(exc, file=sys.stderr)
+        return 2
     return 0
 
 
@@ -870,6 +853,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         print(f"serve --hosts requires --backend remote, not {args.backend!r}",
               file=sys.stderr)
         return 2
+    from .runtime.remote import InsecureBindError
     from .runtime.server import AdmissionPolicy, ScanServer
 
     packed = args.packed or args.bed is not None or args.vcf is not None
@@ -890,7 +874,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         cost_model=_load_cost_model(args.cost_model),
         packed=packed,
         hosts=tuple(args.hosts) if args.hosts else None,
-        steal_mode=args.steal_mode,
         **({} if args.cache_bytes is None else {"cache_bytes": args.cache_bytes}),
         admission=policy,
         journal_dir=args.journal_dir,
@@ -907,6 +890,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 flush=True,
             )
             server.wait(install_signal_handlers=False)
+    except InsecureBindError as exc:
+        print(exc, file=sys.stderr)
+        return 2
     finally:
         server.close()
     print("scan service shut down cleanly", flush=True)

@@ -6,24 +6,16 @@ evaluate and send fitnesses back; the master blocks until the whole
 generation is evaluated (synchronous farm).
 
 This module reproduces that organisation on top of :mod:`multiprocessing`
-with two dispatch strategies:
+through the chunked farm (:class:`~repro.parallel.farm.ChunkedWorkerFarm`):
+the master partitions a generation's distinct individuals by content
+affinity, each slave receives its share as chunks, evaluates them through a
+worker-local batch fast path (per-slave expansion/result caches + LRU) and
+sends per-chunk stats back, which the master merges into the evaluator's
+:class:`~repro.parallel.base.EvaluationStats`.  ``chunk_size=1`` is the
+paper's literal protocol of one individual per message.
 
-* ``dispatch="individual"`` — the paper's literal protocol: one individual
-  per message through a worker pool.  The (picklable) fitness function — in
-  practice a :class:`~repro.stats.evaluation.HaplotypeEvaluator` holding the
-  genotype data — is shipped to each worker exactly once through the pool
-  initializer, mirroring "the slaves are initiated at the beginning and
-  access only once to the data".
-* ``dispatch="chunked"`` — the scalable protocol
-  (:class:`~repro.parallel.farm.ChunkedWorkerFarm`): the master partitions a
-  generation's distinct individuals by content affinity, each slave receives
-  its share as chunks, evaluates them through a worker-local batch fast path
-  (per-slave expansion/result caches + LRU) and sends per-chunk stats back,
-  which the master merges into the evaluator's
-  :class:`~repro.parallel.base.EvaluationStats`.
-
-Either way ``evaluate_batch`` gathers every fitness before returning (a
-synchronous generation barrier).
+``evaluate_batch`` gathers every fitness before returning (a synchronous
+generation barrier).
 """
 
 from __future__ import annotations
@@ -36,7 +28,6 @@ from .base import (
     DistinctEvaluation,
     FitnessCallable,
     SnpSet,
-    default_mp_context,
     validate_chunk_size,
     validate_worker_count,
 )
@@ -44,24 +35,6 @@ from .farm import ChunkedWorkerFarm, EvaluatorFactory, FarmRecoveryPolicy
 from .pvm import EvaluationCostModel
 
 __all__ = ["MasterSlaveEvaluator", "default_worker_count"]
-
-# The fitness function installed in each worker process by the pool
-# initializer.  Module-level because `multiprocessing` can only call picklable
-# top-level functions.
-_WORKER_FITNESS: FitnessCallable | None = None
-
-
-def _initialize_worker(factory: EvaluatorFactory) -> None:
-    """Pool initializer: build the fitness function once per worker process."""
-    global _WORKER_FITNESS
-    _WORKER_FITNESS = factory()
-
-
-def _evaluate_in_worker(snps: tuple[int, ...]) -> float:
-    """Evaluate one haplotype inside a worker process."""
-    if _WORKER_FITNESS is None:  # pragma: no cover - defensive
-        raise RuntimeError("worker process was not initialised with a fitness function")
-    return float(_WORKER_FITNESS(snps))
 
 
 class _CallableFactory:
@@ -100,56 +73,43 @@ class MasterSlaveEvaluator(BaseBatchEvaluator):
         Number of slave processes (default: CPU count).  Must be a positive
         integer.
     chunk_size:
-        Number of individuals per message.  With ``dispatch="individual"``
-        the default is the paper's one-at-a-time protocol (``1``); with
-        ``dispatch="chunked"``, ``None`` (the default) sends each slave its
-        whole share of a generation as a single chunk (and, in steal mode,
-        cuts shares into pieces of ~equal modelled cost under ``cost_model``).
+        Number of individuals per message.  ``None`` (the default) sends each
+        slave its whole share of a generation as a single chunk (and, in
+        steal mode, cuts shares into pieces of ~equal modelled cost under
+        ``cost_model``); ``1`` is the paper's one-individual-per-message
+        protocol.
     cost_model:
-        Chunked dispatch only: the evaluation-cost model behind the
-        cost-driven auto chunking (default: the paper's Figure-4 calibration).
-    dispatch:
-        ``"individual"`` (pool, one task per haplotype) or ``"chunked"``
-        (per-slave queues, affinity routing, worker-side batch fast path).
+        The evaluation-cost model behind the cost-driven auto chunking
+        (default: the paper's Figure-4 calibration).
     worker_cache_size:
-        Chunked dispatch only: bound of each slave's local fitness LRU.
+        Bound of each slave's local fitness LRU.
     steal, max_inflight:
-        Chunked dispatch only: enable the work-stealing dispatch engine —
-        each slave holds at most ``max_inflight`` in-flight chunks and idle
-        slaves are refilled from the longest affinity queue (see
+        Enable the work-stealing dispatch engine — each slave holds at most
+        ``max_inflight`` in-flight chunks and idle slaves are refilled from
+        the longest affinity queue (see
         :class:`~repro.parallel.farm.ChunkedWorkerFarm`).  Fitness values
         are identical with stealing on or off, as are ``n_requests`` and the
         total answered (``n_evaluations + n_cache_hits``); the *split*
         between the two can shift when a re-requested haplotype reaches the
         slaves, since a stolen chunk is served by the thief's cache or
         re-evaluated there instead of hitting its owner's cache.
-    steal_mode:
-        Chunked dispatch only: ``"master"`` (default) keeps chunk queues
-        master-side; ``"shm"`` moves them into the shared-memory deque
-        region, so slaves self-serve refills and steal from each other's
-        ring tails with no master round trip per chunk (see
-        :class:`~repro.parallel.farm.ChunkedWorkerFarm`).  Results and
-        counters are identical in both modes.
     hosts:
-        Distributed chunked dispatch: a sequence of ``"host:port"`` worker
-        hosts (see :mod:`repro.runtime.remote`).  One slave slot per entry —
+        Distributed dispatch: a sequence of ``"host:port"`` worker hosts
+        (see :mod:`repro.runtime.remote`).  One slave slot per entry —
         ``n_workers``, if given, must equal ``len(hosts)``.  Slaves run on
-        the remote hosts behind authenticated sockets; requires
-        ``dispatch="chunked"`` and ``steal_mode="master"``.
+        the remote hosts behind authenticated sockets.
     recovery:
-        Chunked dispatch only: a
-        :class:`~repro.parallel.farm.FarmRecoveryPolicy` making the farm
+        A :class:`~repro.parallel.farm.FarmRecoveryPolicy` making the farm
         survive slave deaths and hangs (lost chunks are replayed
         bit-identically on survivors; see the farm's documentation).  The
         recovery events a batch survived are reported through
         :class:`~repro.parallel.base.EvaluationStats`.
     worker_wrapper:
-        Chunked dispatch only: a callable applied to the evaluator factory
-        before it is shipped to the slaves
-        (``wrapped_factory = worker_wrapper(factory)``); must be picklable
-        together with its result.  Exists for the fault-injection harness
-        (:mod:`repro.testing.faults`), which wraps slave fitness functions
-        with a chaos policy.
+        A callable applied to the evaluator factory before it is shipped to
+        the slaves (``wrapped_factory = worker_wrapper(factory)``); must be
+        picklable together with its result.  Exists for the fault-injection
+        harness (:mod:`repro.testing.faults`), which wraps slave fitness
+        functions with a chaos policy.
     start_method:
         ``multiprocessing`` start method; the default ``"fork"`` (when
         available) avoids re-importing the scientific stack in every worker,
@@ -168,8 +128,6 @@ class MasterSlaveEvaluator(BaseBatchEvaluator):
             fitnesses = farm.evaluate_batch(batch)
     """
 
-    _DISPATCH_MODES = ("individual", "chunked")
-
     def __init__(
         self,
         fitness: FitnessCallable | None = None,
@@ -177,10 +135,8 @@ class MasterSlaveEvaluator(BaseBatchEvaluator):
         evaluator_factory: EvaluatorFactory | None = None,
         n_workers: int | None = None,
         chunk_size: int | None = None,
-        dispatch: str = "individual",
         worker_cache_size: int | None = BaseBatchEvaluator.DEFAULT_CACHE_SIZE,
         steal: bool = False,
-        steal_mode: str = "master",
         max_inflight: int = 2,
         cost_model: EvaluationCostModel | None = None,
         recovery: FarmRecoveryPolicy | None = None,
@@ -195,70 +151,33 @@ class MasterSlaveEvaluator(BaseBatchEvaluator):
             raise ValueError("provide exactly one of fitness or evaluator_factory")
         validate_worker_count(n_workers)
         validate_chunk_size(chunk_size)
-        if dispatch not in self._DISPATCH_MODES:
-            raise ValueError(f"dispatch must be one of {self._DISPATCH_MODES}, got {dispatch!r}")
-        if steal and dispatch != "chunked":
-            raise ValueError("steal requires dispatch='chunked'")
-        if recovery is not None and dispatch != "chunked":
-            raise ValueError("recovery requires dispatch='chunked'")
-        if worker_wrapper is not None and dispatch != "chunked":
-            raise ValueError("worker_wrapper requires dispatch='chunked'")
-        if hosts is not None:
-            if dispatch != "chunked":
-                raise ValueError("hosts requires dispatch='chunked'")
-            if steal_mode != "master":
-                raise ValueError(
-                    "hosts requires steal_mode='master': a shared-memory "
-                    "deque arena cannot span hosts"
-                )
-            if n_workers is not None and n_workers != len(hosts):
-                raise ValueError(
-                    f"n_workers={n_workers} conflicts with len(hosts)="
-                    f"{len(hosts)}; remote pools run one slave per host entry"
-                )
+        if hosts is not None and n_workers is not None and n_workers != len(hosts):
+            raise ValueError(
+                f"n_workers={n_workers} conflicts with len(hosts)="
+                f"{len(hosts)}; remote pools run one slave per host entry"
+            )
         self._n_workers = len(hosts) if hosts is not None else (n_workers or default_worker_count())
-        self._chunk_size = chunk_size
-        self._dispatch = dispatch
         factory = evaluator_factory if evaluator_factory is not None else _CallableFactory(fitness)
         if worker_wrapper is not None:
             factory = worker_wrapper(factory)
         self._closed = False
-        self._pool = None
-        self._farm: ChunkedWorkerFarm | None = None
+        farm_kwargs = dict(
+            chunk_size=chunk_size,
+            worker_cache_size=worker_cache_size,
+            steal=steal,
+            max_inflight=max_inflight,
+            cost_model=cost_model,
+            recovery=recovery,
+        )
         if hosts is not None:
             # lazy import: the remote transport pulls in the socket layer,
             # which local farms never need
             from ..runtime.remote import RemoteSlavePool
 
-            self._farm = RemoteSlavePool(
-                factory,
-                hosts,
-                chunk_size=chunk_size,
-                worker_cache_size=worker_cache_size,
-                steal=steal,
-                max_inflight=max_inflight,
-                cost_model=cost_model,
-                recovery=recovery,
-            )
-        elif dispatch == "chunked":
-            self._farm = ChunkedWorkerFarm(
-                factory,
-                self._n_workers,
-                chunk_size=chunk_size,
-                worker_cache_size=worker_cache_size,
-                start_method=start_method,
-                steal=steal,
-                steal_mode=steal_mode,
-                max_inflight=max_inflight,
-                cost_model=cost_model,
-                recovery=recovery,
-            )
+            self._farm: ChunkedWorkerFarm = RemoteSlavePool(factory, hosts, **farm_kwargs)
         else:
-            context = default_mp_context(start_method)
-            self._pool = context.Pool(
-                processes=self._n_workers,
-                initializer=_initialize_worker,
-                initargs=(factory,),
+            self._farm = ChunkedWorkerFarm(
+                factory, self._n_workers, start_method=start_method, **farm_kwargs
             )
 
     # ------------------------------------------------------------------ #
@@ -267,24 +186,12 @@ class MasterSlaveEvaluator(BaseBatchEvaluator):
         return self._n_workers
 
     @property
-    def dispatch(self) -> str:
-        """The dispatch strategy (``"individual"`` or ``"chunked"``)."""
-        return self._dispatch
-
-    @property
     def steal(self) -> bool:
-        """Whether the chunked farm runs the work-stealing dispatch engine."""
-        return self._farm.steal if self._farm is not None else False
-
-    @property
-    def steal_mode(self) -> str:
-        """The chunked farm's queue substrate (``"master"`` or ``"shm"``)."""
-        return self._farm.steal_mode if self._farm is not None else "master"
+        """Whether the farm runs the work-stealing dispatch engine."""
+        return self._farm.steal
 
     def recovery_counters(self) -> dict[str, int]:
-        """The farm's lifetime recovery counters (all zero without a farm)."""
-        if self._farm is None:
-            return {"n_worker_deaths": 0, "n_chunks_replayed": 0, "n_worker_respawns": 0}
+        """The farm's lifetime recovery counters."""
         return self._farm.recovery_counters()
 
     def evaluate_batch(self, batch: Sequence[SnpSet]) -> list[float]:
@@ -297,54 +204,41 @@ class MasterSlaveEvaluator(BaseBatchEvaluator):
 
     def _evaluate_distinct_details(self, batch: Sequence[SnpSet]) -> DistinctEvaluation:
         tasks = [tuple(int(s) for s in snps) for snps in batch]
-        if self._farm is not None:
-            # recovery events are attributed to the batch that survived them;
-            # the scheduler's per-job delta scoping serialises evaluate calls,
-            # so before/after deltas cannot interleave across jobs
-            recovery_before = self._farm.recovery_counters()
-            values, chunk_stats = self._farm.evaluate(tasks)
-            recovery_after = self._farm.recovery_counters()
-            return DistinctEvaluation(
-                values=values,
-                n_evaluations=chunk_stats.n_evaluations,
-                n_cache_hits=chunk_stats.n_cache_hits,
-                backend_seconds=chunk_stats.seconds,
-                n_stacked_em=chunk_stats.n_stacked_em,
-                n_stacked_problems=chunk_stats.n_stacked_problems,
-                n_worker_deaths=(
-                    recovery_after["n_worker_deaths"] - recovery_before["n_worker_deaths"]
-                ),
-                n_chunks_replayed=(
-                    recovery_after["n_chunks_replayed"] - recovery_before["n_chunks_replayed"]
-                ),
-                n_worker_respawns=(
-                    recovery_after["n_worker_respawns"] - recovery_before["n_worker_respawns"]
-                ),
-            )
-        results = self._pool.map(
-            _evaluate_in_worker, tasks, chunksize=self._chunk_size or 1
+        # recovery events are attributed to the batch that survived them;
+        # the scheduler's per-job delta scoping serialises evaluate calls,
+        # so before/after deltas cannot interleave across jobs
+        recovery_before = self._farm.recovery_counters()
+        values, chunk_stats = self._farm.evaluate(tasks)
+        recovery_after = self._farm.recovery_counters()
+        return DistinctEvaluation(
+            values=values,
+            n_evaluations=chunk_stats.n_evaluations,
+            n_cache_hits=chunk_stats.n_cache_hits,
+            backend_seconds=chunk_stats.seconds,
+            n_stacked_em=chunk_stats.n_stacked_em,
+            n_stacked_problems=chunk_stats.n_stacked_problems,
+            n_worker_deaths=(
+                recovery_after["n_worker_deaths"] - recovery_before["n_worker_deaths"]
+            ),
+            n_chunks_replayed=(
+                recovery_after["n_chunks_replayed"] - recovery_before["n_chunks_replayed"]
+            ),
+            n_worker_respawns=(
+                recovery_after["n_worker_respawns"] - recovery_before["n_worker_respawns"]
+            ),
         )
-        return DistinctEvaluation(values=[float(r) for r in results])
 
     def close(self) -> None:
         if not self._closed:
             self._closed = True
-            if self._farm is not None:
-                self._farm.close()
-            if self._pool is not None:
-                self._pool.close()
-                self._pool.join()
+            self._farm.close()
         self._run_close_callbacks()
 
     def terminate(self) -> None:
         """Forcefully terminate the worker processes; idempotent."""
         if not self._closed:
             self._closed = True
-            if self._farm is not None:
-                self._farm.terminate()
-            if self._pool is not None:
-                self._pool.terminate()
-                self._pool.join()
+            self._farm.terminate()
         self._run_close_callbacks()
 
     def __del__(self) -> None:  # pragma: no cover - interpreter shutdown path

@@ -18,9 +18,6 @@ async      work-stealing master/slave farm: bounded per-slave in-flight
            chunks, idle slaves refilled from the longest affinity queue,
            completions streamed instead of barrier-joined; shared-memory
            data when a spec + dataset is available, pickled otherwise
-           (``steal_mode="shm"`` moves the chunk queues themselves into a
-           shared-memory deque arena: slaves self-serve and steal without a
-           master round trip per chunk)
 remote     multi-host master/slave farm over authenticated sockets
            (``hosts=["host:port", ...]``, one slave per entry): each
            connection ships the 2-bit packed panel once, then only
@@ -93,7 +90,6 @@ class BackendRequest:
     worker_wrapper: Callable | None = None
     packed: bool = False
     hosts: tuple[str, ...] | None = None
-    steal_mode: str = "master"
 
     def local_fitness(self) -> FitnessCallable:
         """A fitness callable usable in the calling process."""
@@ -155,7 +151,6 @@ def create_evaluator(
     worker_wrapper: Callable | None = None,
     packed: bool = False,
     hosts: Sequence[str] | None = None,
-    steal_mode: str = "master",
 ) -> BatchEvaluator:
     """Build a batch evaluator on the named backend.
 
@@ -180,9 +175,7 @@ def create_evaluator(
     dataset to pack).
 
     ``hosts`` (the ``remote`` backend only) lists the worker hosts as
-    ``"host:port"`` specs, one slave per entry.  ``steal_mode`` selects the
-    chunked farms' queue substrate: ``"master"`` (default) or ``"shm"``
-    (shared-memory steal deques; local process farms only).
+    ``"host:port"`` specs, one slave per entry.
     """
     spec: EvaluatorSpec | None = None
     fitness: FitnessCallable | None = None
@@ -226,7 +219,6 @@ def create_evaluator(
         worker_wrapper=worker_wrapper,
         packed=packed,
         hosts=tuple(hosts) if hosts is not None else None,
-        steal_mode=steal_mode,
     )
     return resolve_backend(backend)(request)
 
@@ -246,11 +238,6 @@ def _require_process_farm_features_unused(request: BackendRequest, backend: str)
         raise TypeError(
             f"the {backend!r} backend runs in-process and cannot use remote "
             f"hosts; use the 'remote' backend"
-        )
-    if request.steal_mode != "master":
-        raise TypeError(
-            f"the {backend!r} backend runs in-process and has no shared-memory "
-            f"deque arena; steal_mode applies to the process-farm backends"
         )
 
 
@@ -295,7 +282,6 @@ def _threads_backend(request: BackendRequest) -> BatchEvaluator:
 def _farm_kwargs(request: BackendRequest, *, steal: bool) -> dict:
     """The MasterSlaveEvaluator arguments shared by every chunked-farm backend."""
     return dict(
-        dispatch="chunked",
         n_workers=request.n_workers,
         chunk_size=request.chunk_size,
         worker_cache_size=request.worker_cache_size,
@@ -303,7 +289,6 @@ def _farm_kwargs(request: BackendRequest, *, steal: bool) -> dict:
         dedup=request.dedup,
         cache_size=request.cache_size,
         steal=steal,
-        steal_mode=request.steal_mode,
         cost_model=request.cost_model,
         recovery=request.recovery,
         worker_wrapper=request.worker_wrapper,
@@ -362,8 +347,8 @@ def _remote_backend(request: BackendRequest) -> BatchEvaluator:
     Requires the spec form (the factory must be rebuilt on another machine)
     and ``hosts``.  The dataset always crosses the wire in its 2-bit packed
     form — bit-identical to the byte path and ~4× cheaper to ship.  Stealing
-    stays master-mediated (the shm arena cannot span hosts), and the PR-6
-    recovery engine treats a dead connection exactly like a dead local slave.
+    is master-mediated, and the farm's recovery engine treats a dead
+    connection exactly like a dead local slave.
     """
     from .remote import RemoteSlavePool  # noqa: F401 - validates availability
 
@@ -372,11 +357,6 @@ def _remote_backend(request: BackendRequest) -> BatchEvaluator:
         raise TypeError(
             "the 'remote' backend needs hosts=[\"host:port\", ...] naming the "
             "worker hosts (one slave per entry)"
-        )
-    if request.steal_mode != "master":
-        raise TypeError(
-            "the 'remote' backend requires steal_mode='master': a "
-            "shared-memory deque arena cannot span hosts"
         )
     kwargs = _farm_kwargs(request, steal=True)
     kwargs.pop("n_workers")  # one slave per host entry

@@ -36,12 +36,16 @@ survivors.  Reconnects (the respawn path) go through
 an unbounded handshake, and failed reconnects back off exponentially per host
 — a flapping host is re-admitted when it answers again, not hammered.
 
-The shared key defaults to a well-known development value; set
-``REPRO_REMOTE_AUTHKEY`` on every host for anything beyond localhost.
+The shared key defaults to a well-known development value.  A listener
+unpickles and runs what an authenticated peer sends, so without an explicit
+key or ``REPRO_REMOTE_AUTHKEY`` both listeners (:func:`serve` and the scan
+daemon) refuse any address but loopback; set the variable to the same
+secret on every host and client for anything beyond localhost.
 """
 
 from __future__ import annotations
 
+import ipaddress
 import os
 import signal
 import threading
@@ -62,6 +66,7 @@ from ..parallel.pvm import EvaluationCostModel
 __all__ = [
     "RemoteSlavePool",
     "LocalWorkerHost",
+    "InsecureBindError",
     "serve",
     "parse_host",
     "parse_hosts",
@@ -126,6 +131,44 @@ def default_authkey() -> bytes:
     if value:
         return value.encode("utf-8")
     return _DEFAULT_AUTHKEY
+
+
+class InsecureBindError(ValueError):
+    """A listener was asked to bind a non-loopback address with the
+    in-source development key."""
+
+
+def _is_loopback(host: str) -> bool:
+    if host == "localhost":
+        return True
+    try:
+        return ipaddress.ip_address(host).is_loopback
+    except ValueError:
+        return False
+
+
+def _open_listener(bind: tuple[str, int] | str, authkey: bytes | None) -> Listener:
+    """Bind an authenticated listener; refuse the development key off loopback.
+
+    ``bind`` is ``(host, port)`` or ``"host:port"``; ``":PORT"`` listens on
+    every interface.  Without an explicit ``authkey`` or
+    ``REPRO_REMOTE_AUTHKEY`` only a loopback host (``127.0.0.0/8``, ``::1``,
+    ``localhost``) may be bound: the fallback key is public, and peers that
+    hold it get their pickles run.
+    """
+    if isinstance(bind, str):
+        bind = parse_host("0.0.0.0" + bind if bind.startswith(":") else bind)
+    host, port = bind
+    if not authkey:
+        authkey = default_authkey()
+        if authkey == _DEFAULT_AUTHKEY and not _is_loopback(host):
+            raise InsecureBindError(
+                f"refusing to listen on {host or '*'}:{port} with the in-source "
+                f"development key; set REPRO_REMOTE_AUTHKEY to a shared secret "
+                f"on every host and client, or bind a loopback address such as "
+                f"127.0.0.1"
+            )
+    return Listener((host, port), authkey=authkey)
 
 
 def parse_host(host) -> tuple[str, int]:
@@ -268,21 +311,21 @@ def serve(
 
     ``bind`` is ``(host, port)`` or ``"host:port"`` (port ``0`` binds an
     ephemeral port; the resolved address is reported over ``_ready`` when
-    given).  Each accepted connection gets its own daemon process running
-    :func:`_remote_worker_loop`, so one master's heavy chunk cannot block
-    another master's slave.  ``max_connections`` bounds how many connections
-    are served before returning (``None`` serves forever).
+    given).  Without ``authkey`` or ``REPRO_REMOTE_AUTHKEY`` a non-loopback
+    ``bind`` raises :class:`InsecureBindError`.  Each accepted connection
+    gets its own daemon process running :func:`_remote_worker_loop`, so one
+    master's heavy chunk cannot block another master's slave.
+    ``max_connections`` bounds how many connections are served before
+    returning (``None`` serves forever).
 
     SIGTERM/SIGINT shut the host down gracefully: the accept loop stops, and
     every slave process is SIGTERMed — its own handler lets the in-flight
     chunk finish and its reply be delivered before the connection closes —
     then joined (with an escalation to ``kill`` for stragglers).
     """
-    if isinstance(bind, str):
-        bind = parse_host(bind)
+    listener = _open_listener(bind, authkey)
     context = default_mp_context(start_method)
     stop = threading.Event()
-    listener = Listener(bind, authkey=authkey or default_authkey())
     # the handler must close the listener as well as set the flag: a blocked
     # accept() is retried after a signal handler returns (PEP 475), so the
     # close is what actually wakes the loop
@@ -352,7 +395,7 @@ class LocalWorkerHost:
         max_connections: int | None = None,
         start_method: str | None = None,
         heartbeat_interval: float | None = DEFAULT_HEARTBEAT_INTERVAL,
-        bind: tuple[str, int] | None = None,
+        bind: tuple[str, int] | str | None = None,
     ) -> None:
         context = default_mp_context(start_method)
         ready_recv, ready_send = context.Pipe(duplex=False)
@@ -409,8 +452,6 @@ class RemoteSlavePool(ChunkedWorkerFarm):
 
     * a torn connection is a dead slave (replay onto survivors, optional
       reconnect as the respawn, :class:`FarmDeadError` when none remain);
-    * ``steal_mode`` is fixed at ``"master"`` — a shared-memory arena cannot
-      span hosts;
     * ``recovery.chunk_timeout`` hangs are healed by dropping the connection;
     * a host silent past ``heartbeat_timeout`` (its slave beats every
       :data:`DEFAULT_HEARTBEAT_INTERVAL` seconds, evaluating or idle) is
@@ -466,7 +507,6 @@ class RemoteSlavePool(ChunkedWorkerFarm):
             chunk_size=chunk_size,
             worker_cache_size=worker_cache_size,
             steal=steal,
-            steal_mode="master",
             max_inflight=max_inflight,
             cost_model=cost_model,
             recovery=recovery,
@@ -662,27 +702,12 @@ class RemoteSlavePool(ChunkedWorkerFarm):
 
 
 def main(argv: Sequence[str] | None = None) -> None:
-    """``python -m repro.runtime.remote --bind HOST:PORT`` worker-host entry."""
-    import argparse
+    """``python -m repro.runtime.remote --bind HOST:PORT``: ``repro worker``."""
+    import sys
 
-    parser = argparse.ArgumentParser(
-        description="Run a repro-ga remote worker host."
-    )
-    parser.add_argument(
-        "--bind",
-        required=True,
-        help="address to listen on, e.g. 0.0.0.0:7777 (port 0 = ephemeral)",
-    )
-    parser.add_argument(
-        "--max-connections",
-        type=int,
-        default=None,
-        help="serve this many master connections, then exit (default: forever)",
-    )
-    options = parser.parse_args(argv)
-    address = parse_host(options.bind)
-    print(f"repro-ga worker host listening on {address[0]}:{address[1]}", flush=True)
-    serve(address, max_connections=options.max_connections)
+    from ..cli import main as cli_main
+
+    sys.exit(cli_main(["worker", *(sys.argv[1:] if argv is None else argv)]))
 
 
 if __name__ == "__main__":  # pragma: no cover - CLI entry

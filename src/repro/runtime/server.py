@@ -63,7 +63,7 @@ from ..scan.planner import plan_scan
 from ..scan.report import window_result_from_json, window_result_to_json
 from ..scan.runner import _window_result
 from .backends import DEFAULT_BACKEND
-from .remote import default_authkey, parse_host
+from .remote import _open_listener
 from .service import (
     RunRequest,
     RunScheduler,
@@ -484,7 +484,6 @@ class ScanServer:
         recovery: FarmRecoveryPolicy | None = None,
         packed: bool = False,
         hosts: Sequence[str] | None = None,
-        steal_mode: str = "master",
         cache_bytes: int = DEFAULT_CACHE_BYTES,
         admission: AdmissionPolicy | None = None,
         authkey: bytes | None = None,
@@ -503,7 +502,6 @@ class ScanServer:
             recovery=recovery,
             packed=packed,
             hosts=hosts,
-            steal_mode=steal_mode,
         )
         self._statistic = self._scheduler.spec.statistic
         # every request is priced, model or not: an uncalibrated default
@@ -513,7 +511,7 @@ class ScanServer:
         self._cache = WindowResultCache(cache_bytes)
         self._admission = AdmissionController(admission)
         self._tenants = TenantMetrics()
-        self._authkey = authkey or default_authkey()
+        self._authkey = authkey
         self._panel_fingerprint = self._scheduler.dataset.fingerprint()
         # crash recovery: with a journal_dir every in-flight scan is journaled
         # through ScanJournal (one file per scan identity); a restarted daemon
@@ -568,14 +566,14 @@ class ScanServer:
         """Bind the socket and accept connections on a background thread.
 
         Returns the resolved listen address (port ``0`` binds ephemerally).
+        Without an ``authkey`` or ``REPRO_REMOTE_AUTHKEY`` a non-loopback
+        ``bind`` raises :class:`~repro.runtime.remote.InsecureBindError`.
         """
         if self._closed:
             raise RuntimeError("the server has been closed")
         if self._listener is not None:
             raise RuntimeError("the server is already listening")
-        if isinstance(bind, str):
-            bind = parse_host(bind)
-        self._listener = Listener(tuple(bind), authkey=self._authkey)
+        self._listener = _open_listener(bind, self._authkey)
         self._address = tuple(self._listener.address)
         self._accept_thread = threading.Thread(
             target=self._accept_loop, daemon=True, name="scan-serve-accept"

@@ -1,6 +1,6 @@
 """Tests of the multiprocessing master/slave evaluator.
 
-The worker pool is real (forked processes), so these tests keep the batches
+The worker farm is real (forked processes), so these tests keep the batches
 small; the key property is bit-identical agreement with the serial evaluator.
 """
 
@@ -28,10 +28,6 @@ class TestConfiguration:
     def test_rejects_non_positive_or_non_integer_worker_counts(self, n_workers):
         with pytest.raises(ValueError, match="positive integer"):
             MasterSlaveEvaluator(_product_fitness, n_workers=n_workers)
-
-    def test_rejects_unknown_dispatch(self):
-        with pytest.raises(ValueError, match="dispatch"):
-            MasterSlaveEvaluator(_product_fitness, dispatch="quantum")
 
     def test_requires_exactly_one_fitness_source(self):
         with pytest.raises(ValueError):
@@ -100,19 +96,15 @@ def _fail_on_marker_fitness(snps):
 
 class TestChunkedDispatch:
     def test_matches_individual_dispatch(self, small_evaluator):
+        # chunk_size=1 is the paper's one-individual-per-message protocol
         batch = [(0, 1), (2, 5, 9), (3, 4), (0, 1), (1, 6, 10)]
-        with MasterSlaveEvaluator(small_evaluator, n_workers=2) as individual:
-            expected = individual.evaluate_batch(batch)
-        with MasterSlaveEvaluator(
-            small_evaluator, n_workers=2, dispatch="chunked"
-        ) as chunked:
-            assert chunked.dispatch == "chunked"
-            assert chunked.evaluate_batch(batch) == pytest.approx(expected, rel=1e-12)
+        expected = SerialEvaluator(small_evaluator).evaluate_batch(batch)
+        with MasterSlaveEvaluator(small_evaluator, n_workers=2, chunk_size=1) as farm:
+            assert farm.evaluate_batch(batch) == pytest.approx(expected, rel=1e-12)
 
     def test_small_chunks_cover_the_whole_batch(self):
         with MasterSlaveEvaluator(
-            _product_fitness, n_workers=2, dispatch="chunked", chunk_size=1,
-            dedup=False, cache_size=0,
+            _product_fitness, n_workers=2, chunk_size=1, dedup=False, cache_size=0,
         ) as chunked:
             batch = [(i,) for i in range(7)]
             assert chunked.evaluate_batch(batch) == [float(i + 1) for i in range(7)]
@@ -121,8 +113,7 @@ class TestChunkedDispatch:
         # master fast path off: repeats must travel to the slaves, whose
         # affinity-pinned local LRUs answer them without re-evaluating
         with MasterSlaveEvaluator(
-            _product_fitness, n_workers=2, dispatch="chunked",
-            dedup=False, cache_size=0,
+            _product_fitness, n_workers=2, dedup=False, cache_size=0,
         ) as chunked:
             chunked.evaluate_batch([(1,), (2,), (3,)])
             chunked.evaluate_batch([(1,), (2,), (4,)])
@@ -132,9 +123,7 @@ class TestChunkedDispatch:
             assert chunked.stats.backend_seconds >= 0.0
 
     def test_worker_exception_propagates_with_traceback(self):
-        with MasterSlaveEvaluator(
-            _failing_fitness, n_workers=2, dispatch="chunked"
-        ) as chunked:
+        with MasterSlaveEvaluator(_failing_fitness, n_workers=2) as chunked:
             with pytest.raises(RuntimeError, match="boom"):
                 chunked.evaluate_batch([(1, 2)])
 
@@ -144,8 +133,8 @@ class TestChunkedDispatch:
         # ids are discarded.  Markers 90-93 error on whichever slaves own
         # them, so the aborted batch leaves stale error tuples behind too.
         with MasterSlaveEvaluator(
-            _fail_on_marker_fitness, n_workers=2, dispatch="chunked",
-            chunk_size=1, dedup=False, cache_size=0,
+            _fail_on_marker_fitness, n_workers=2, chunk_size=1,
+            dedup=False, cache_size=0,
         ) as chunked:
             with pytest.raises(RuntimeError, match="marker"):
                 chunked.evaluate_batch([(1,), (90,), (91,), (92,), (93,), (2,)])
@@ -168,13 +157,12 @@ class TestStealDispatch:
     def test_steal_matches_affinity_values_and_counters(self):
         batch = self._batch()
         with MasterSlaveEvaluator(
-            _product_fitness, n_workers=3, dispatch="chunked",
-            dedup=False, cache_size=0,
+            _product_fitness, n_workers=3, dedup=False, cache_size=0,
         ) as affinity:
             expected = affinity.evaluate_batch(batch)
             counters = affinity.stats.counters()
         with MasterSlaveEvaluator(
-            _product_fitness, n_workers=3, dispatch="chunked", steal=True,
+            _product_fitness, n_workers=3, steal=True,
             chunk_size=2, dedup=False, cache_size=0,
         ) as stealing:
             assert stealing.steal
@@ -182,12 +170,11 @@ class TestStealDispatch:
             assert stealing.stats.counters() == counters
 
     def test_steal_requires_chunked_dispatch(self):
-        with pytest.raises(ValueError, match="chunked"):
-            MasterSlaveEvaluator(_product_fitness, n_workers=2, steal=True,
-                                 dispatch="individual")
-        with pytest.raises(ValueError, match="max_inflight"):
-            from repro.parallel.farm import ChunkedWorkerFarm
+        # stealing bounds each slave's in-flight chunks, so the bound must be
+        # a positive integer
+        from repro.parallel.farm import ChunkedWorkerFarm
 
+        with pytest.raises(ValueError, match="max_inflight"):
             ChunkedWorkerFarm(lambda: _product_fitness, 2, max_inflight=0)
 
     def test_ticket_streaming_out_of_order_collect(self):
@@ -282,7 +269,7 @@ class TestStealDispatch:
         # repeats travel to the slaves; whichever slave answers (owner or
         # thief), the merged counters must balance requests exactly
         with MasterSlaveEvaluator(
-            _product_fitness, n_workers=2, dispatch="chunked", steal=True,
+            _product_fitness, n_workers=2, steal=True,
             chunk_size=1, dedup=False, cache_size=0,
         ) as stealing:
             stealing.evaluate_batch([(1,), (2,), (3,), (4,)])

@@ -17,10 +17,12 @@ from repro.experiments.datasets import lille51
 from repro.parallel.farm import FarmDeadError, FarmRecoveryPolicy
 from repro.runtime.backends import backend_names, create_evaluator
 from repro.runtime.remote import (
+    InsecureBindError,
     LocalWorkerHost,
     RemoteSlavePool,
     parse_host,
     parse_hosts,
+    serve,
 )
 from repro.runtime.service import RunRequest, RunScheduler
 from repro.runtime.spec import EvaluatorSpec, PackedDatasetHandle
@@ -65,6 +67,35 @@ class TestHostParsing:
     def test_parse_hosts_requires_one(self):
         with pytest.raises(ValueError, match="at least one"):
             parse_hosts([])
+
+
+class TestInsecureBind:
+    """Off loopback, a worker host refuses the in-source development key."""
+
+    @pytest.mark.parametrize("bind", ["0.0.0.0:0", ":0", ("", 0)])
+    def test_refuses_public_bind_without_key(self, bind, monkeypatch):
+        monkeypatch.delenv("REPRO_REMOTE_AUTHKEY", raising=False)
+        with pytest.raises(InsecureBindError, match="REPRO_REMOTE_AUTHKEY"):
+            serve(bind)
+
+    @pytest.mark.parametrize("bind", ["0.0.0.0:0", ":0"])
+    def test_binds_public_address_with_the_variable(self, bind, monkeypatch):
+        monkeypatch.setenv("REPRO_REMOTE_AUTHKEY", "test-secret")
+        with LocalWorkerHost(bind=bind) as host:
+            assert host.address[0] == "0.0.0.0" and host.address[1] > 0
+            pool = RemoteSlavePool(_LinearFactory(), [f"127.0.0.1:{host.address[1]}"])
+            with pool:
+                assert pool.evaluate(_batch(3))[0] == _expected(_batch(3))
+
+    def test_binds_public_address_with_an_authkey_argument(self, monkeypatch):
+        monkeypatch.delenv("REPRO_REMOTE_AUTHKEY", raising=False)
+        with LocalWorkerHost(bind="0.0.0.0:0", authkey=b"test-secret") as host:
+            assert host.address[1] > 0
+
+    def test_localhost_bind_needs_no_key(self, monkeypatch):
+        monkeypatch.delenv("REPRO_REMOTE_AUTHKEY", raising=False)
+        with LocalWorkerHost(bind="localhost:0") as host:
+            assert host.address[1] > 0
 
 
 class TestRemoteSlavePool:
@@ -183,17 +214,6 @@ class TestRemoteBackend:
         with pytest.raises(TypeError, match="EvaluatorSpec"):
             create_evaluator(
                 "remote", _linear_fitness, hosts=[worker_host.host]
-            )
-
-    def test_rejects_shm_steal_mode(self, worker_host):
-        dataset = lille51().dataset
-        with pytest.raises(TypeError, match="steal_mode"):
-            create_evaluator(
-                "remote",
-                EvaluatorSpec(),
-                dataset=dataset,
-                hosts=[worker_host.host],
-                steal_mode="shm",
             )
 
     @pytest.mark.parametrize("backend", ["serial", "threads", "process", "async"])

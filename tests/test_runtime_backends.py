@@ -99,7 +99,6 @@ class TestBackendParity:
         evaluator = create_evaluator("process", _product_fitness, n_workers=2)
         try:
             assert isinstance(evaluator, MasterSlaveEvaluator)
-            assert evaluator.dispatch == "chunked"
             assert evaluator.evaluate_batch(batch) == pytest.approx(expected)
         finally:
             evaluator.close()

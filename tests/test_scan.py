@@ -421,20 +421,11 @@ class TestChromosomeScaleScan:
         # the work-stealing farm must preserve exact counter parity too
         assert serial.stats.counters() == stealing.stats.counters()
 
-    def test_bit_identical_on_shm_deques_and_remote_hosts(
-        self, chromosome_study, acceptance_config
-    ):
+    def test_bit_identical_on_remote_hosts(self, chromosome_study, acceptance_config):
         from repro.runtime.remote import LocalWorkerHost
 
         dataset = chromosome_study.dataset
         serial = self._scan(dataset, acceptance_config)
-        deque_steal = self._scan(
-            dataset,
-            acceptance_config,
-            backend="async",
-            n_workers=2,
-            steal_mode="shm",
-        )
         host = LocalWorkerHost()
         try:
             remote = self._scan(
@@ -445,9 +436,8 @@ class TestChromosomeScaleScan:
             )
         finally:
             host.close()
-        assert _scan_key(serial) == _scan_key(deque_steal) == _scan_key(remote)
-        # shared-memory stealing keeps exact counter parity with serial
-        assert serial.stats.counters() == deque_steal.stats.counters()
+        assert _scan_key(serial) == _scan_key(remote)
+        assert serial.stats.counters() == remote.stats.counters()
 
     def test_bounded_pending_and_cost_priority_do_not_change_the_scan(
         self, chromosome_study, acceptance_config

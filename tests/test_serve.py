@@ -29,7 +29,7 @@ from repro.genetics.simulate import (
     simulate_case_control_study,
 )
 from repro.runtime.client import ScanClient, ServiceError
-from repro.runtime.remote import default_authkey
+from repro.runtime.remote import InsecureBindError, default_authkey
 from repro.runtime.server import (
     AdmissionController,
     AdmissionPolicy,
@@ -362,6 +362,41 @@ class TestScanService:
                 conn.close()
         assert kind == "error"
         assert "ClientHello" in message
+
+
+class TestInsecureBind:
+    """Off loopback, the daemon refuses the in-source development key."""
+
+    @pytest.mark.parametrize("bind", ["0.0.0.0:0", ":0"])
+    def test_refuses_public_bind_without_key(self, small_dataset, bind, monkeypatch):
+        monkeypatch.delenv("REPRO_REMOTE_AUTHKEY", raising=False)
+        with ScanServer(small_dataset) as server:
+            with pytest.raises(InsecureBindError, match="REPRO_REMOTE_AUTHKEY"):
+                server.start(bind)
+
+    @pytest.mark.parametrize("bind", ["0.0.0.0:0", ":0"])
+    def test_binds_public_address_with_the_variable(
+        self, small_dataset, bind, monkeypatch
+    ):
+        monkeypatch.setenv("REPRO_REMOTE_AUTHKEY", "test-secret")
+        with ScanServer(small_dataset) as server:
+            host, port = server.start(bind)
+            assert host == "0.0.0.0" and port > 0
+            with ScanClient(f"127.0.0.1:{port}", client_id="keyed") as client:
+                assert client.status()["n_snps"] == small_dataset.n_snps
+
+    def test_cli_exits_2_naming_the_variable(
+        self, small_dataset, tmp_path, monkeypatch, capsys
+    ):
+        from repro.cli import main
+
+        monkeypatch.delenv("REPRO_REMOTE_AUTHKEY", raising=False)
+        study = tmp_path / "study"
+        write_study_tables(small_dataset, study)
+        assert main(["serve", str(study), "--bind", ":0", "--backend", "serial"]) == 2
+        assert "REPRO_REMOTE_AUTHKEY" in capsys.readouterr().err
+        assert main(["worker", "--bind", "0.0.0.0:0"]) == 2
+        assert "REPRO_REMOTE_AUTHKEY" in capsys.readouterr().err
 
 
 def _cli_environment():

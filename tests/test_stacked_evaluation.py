@@ -233,9 +233,7 @@ class TestBatchedRouting:
     def test_farm_backend_parity_and_counters(self, small_dataset, batch):
         serial = SerialEvaluator(HaplotypeEvaluator(small_dataset))
         reference = serial.evaluate_batch(batch)
-        with MasterSlaveEvaluator(
-            HaplotypeEvaluator(small_dataset), n_workers=2, dispatch="chunked"
-        ) as farm:
+        with MasterSlaveEvaluator(HaplotypeEvaluator(small_dataset), n_workers=2) as farm:
             assert farm.evaluate_batch(batch) == reference
             assert farm.stats.counters() == serial.stats.counters()
             assert farm.stats.n_stacked_em >= 1
@@ -246,7 +244,6 @@ class TestBatchedRouting:
         with MasterSlaveEvaluator(
             HaplotypeEvaluator(small_dataset),
             n_workers=2,
-            dispatch="chunked",
             steal=True,
             cost_model=EvaluationCostModel(),
         ) as farm:
@@ -281,7 +278,6 @@ class TestCostBalancedChunks:
         with MasterSlaveEvaluator(
             HaplotypeEvaluator(small_dataset),
             n_workers=2,
-            dispatch="chunked",
             chunk_size=3,
         ) as farm:
             reference = SerialEvaluator(HaplotypeEvaluator(small_dataset)).evaluate_batch(batch)
