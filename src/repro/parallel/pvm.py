@@ -95,14 +95,23 @@ class EvaluationCostModel:
 
     @classmethod
     def fit(cls, sizes: Sequence[int], seconds: Sequence[float]) -> "EvaluationCostModel":
-        """Calibrate the model on measured (size, seconds) pairs by log-linear fit."""
+        """Calibrate the model on measured (size, seconds) pairs by log-linear fit.
+
+        The fit is least squares constrained to the model's domain
+        (``growth_factor >= 1``): when flat or noisy timings give a negative
+        slope, the best admissible fit is a constant cost at the geometric
+        mean of the measurements.
+        """
         sizes_arr = np.asarray(sizes, dtype=np.float64)
         seconds_arr = np.asarray(seconds, dtype=np.float64)
         if sizes_arr.shape != seconds_arr.shape or sizes_arr.size < 2:
             raise ValueError("need at least two (size, seconds) pairs of equal length")
         if np.any(seconds_arr <= 0):
             raise ValueError("measured times must be positive")
-        slope, intercept = np.polyfit(sizes_arr - 1, np.log(seconds_arr), 1)
+        log_seconds = np.log(seconds_arr)
+        slope, intercept = np.polyfit(sizes_arr - 1, log_seconds, 1)
+        if slope < 0:
+            return cls(base_seconds=float(np.exp(log_seconds.mean())), growth_factor=1.0)
         return cls(base_seconds=float(np.exp(intercept)), growth_factor=float(np.exp(slope)))
 
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats as _scipy_stats
+from scipy.special import chdtrc
 
 from .contingency import ContingencyTable
 
@@ -14,21 +14,34 @@ __all__ = ["Chi2Result", "pearson_chi2", "chi2_sf"]
 
 @dataclass(frozen=True)
 class Chi2Result:
-    """A chi-square statistic together with its degrees of freedom and p-value."""
+    """A chi-square statistic together with its degrees of freedom.
+
+    The nominal p-value is derived on read: the GA's fitness is the bare
+    statistic, so only reports pay for the survival function.
+    """
 
     statistic: float
     df: int
-    p_value: float
+
+    @property
+    def p_value(self) -> float:
+        return chi2_sf(self.statistic, self.df)
 
     def __float__(self) -> float:
         return self.statistic
 
 
 def chi2_sf(statistic: float, df: int) -> float:
-    """Survival function of the chi-square distribution (``P[X >= statistic]``)."""
-    if df <= 0:
+    """Survival function of the chi-square distribution (``P[X >= statistic]``).
+
+    ``scipy.special.chdtrc`` is the kernel ``scipy.stats.chi2.sf`` evaluates,
+    so the values agree bit for bit, without importing ``scipy.stats``.  The
+    distribution path maps a statistic at or below the support's lower end
+    to 1.0, which ``chdtrc`` would turn into ``nan`` for negative values.
+    """
+    if df <= 0 or statistic <= 0:
         return 1.0
-    return float(_scipy_stats.chi2.sf(statistic, df))
+    return float(chdtrc(df, statistic))
 
 
 def pearson_chi2(table: ContingencyTable | np.ndarray) -> Chi2Result:
@@ -49,4 +62,4 @@ def pearson_chi2(table: ContingencyTable | np.ndarray) -> Chi2Result:
     statistic = float(cells.sum())
     nonzero_rows = int(np.count_nonzero(table.row_totals > 0))
     df = max((nonzero_rows - 1) * (table.n_columns - 1), 0)
-    return Chi2Result(statistic=statistic, df=df, p_value=chi2_sf(statistic, df))
+    return Chi2Result(statistic=statistic, df=df)

@@ -28,11 +28,11 @@ marginal totals, which :func:`monte_carlo_p_values` reproduces.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .chi2 import Chi2Result, chi2_sf, pearson_chi2
+from .chi2 import Chi2Result, pearson_chi2
 from .contingency import ContingencyTable
 
 __all__ = [
@@ -47,14 +47,32 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class ClumpResult:
-    """The four CLUMP statistics (and their nominal chi-square results)."""
+    """The four CLUMP statistics of a table (and their nominal chi-square results).
 
-    t1: Chi2Result
-    t2: Chi2Result
-    t3: Chi2Result
-    t4: Chi2Result
+    Each statistic is computed on first access and then kept: the GA's
+    fitness reads exactly one of them, while reports read all four.
+    """
+
+    def __init__(self, table: ContingencyTable, *, min_expected: float = 5.0) -> None:
+        self.table = table
+        self.min_expected = min_expected
+
+    @cached_property
+    def t1(self) -> Chi2Result:
+        return t1_statistic(self.table)
+
+    @cached_property
+    def t2(self) -> Chi2Result:
+        return t2_statistic(self.table, min_expected=self.min_expected)
+
+    @cached_property
+    def t3(self) -> Chi2Result:
+        return t3_statistic(self.table)
+
+    @cached_property
+    def t4(self) -> Chi2Result:
+        return t4_statistic(self.table)
 
     def statistic(self, name: str) -> float:
         """Value of one of the statistics by name (``"t1"`` … ``"t4"``)."""
@@ -99,7 +117,7 @@ def t3_statistic(table: ContingencyTable) -> Chi2Result:
         b = row_totals[0] - a
         d = row_totals[1] - c
         best = max(best, _two_by_two_chi2(a, b, c, d))
-    return Chi2Result(statistic=best, df=1, p_value=chi2_sf(best, 1))
+    return Chi2Result(statistic=best, df=1)
 
 
 def t4_statistic(table: ContingencyTable) -> Chi2Result:
@@ -112,7 +130,7 @@ def t4_statistic(table: ContingencyTable) -> Chi2Result:
     table = table.drop_empty_columns()
     counts = table.counts
     if table.n_columns < 2:
-        return Chi2Result(statistic=0.0, df=1, p_value=1.0)
+        return Chi2Result(statistic=0.0, df=1)
     column_totals = table.column_totals
     with np.errstate(invalid="ignore", divide="ignore"):
         affected_ratio = np.where(column_totals > 0, counts[0] / column_totals, 0.0)
@@ -127,17 +145,12 @@ def t4_statistic(table: ContingencyTable) -> Chi2Result:
         b = row_totals[0] - a
         d = row_totals[1] - c
         best = max(best, _two_by_two_chi2(a, b, c, d))
-    return Chi2Result(statistic=best, df=1, p_value=chi2_sf(best, 1))
+    return Chi2Result(statistic=best, df=1)
 
 
 def clump_statistics(table: ContingencyTable, *, min_expected: float = 5.0) -> ClumpResult:
-    """Compute all four CLUMP statistics for a table."""
-    return ClumpResult(
-        t1=t1_statistic(table),
-        t2=t2_statistic(table, min_expected=min_expected),
-        t3=t3_statistic(table),
-        t4=t4_statistic(table),
-    )
+    """The four CLUMP statistics of a table, each computed when first read."""
+    return ClumpResult(table, min_expected=min_expected)
 
 
 def simulate_table_with_margins(

@@ -99,7 +99,7 @@ class EvaluationRecord:
     fitness:
         The scalar fitness (value of the selected CLUMP statistic).
     clump:
-        All four CLUMP statistics.
+        All four CLUMP statistics, each computed when first read.
     table:
         The 2 × 2^L contingency table fed to CLUMP.
     affected, unaffected:
@@ -660,7 +660,12 @@ class HaplotypeEvaluator:
                 )
                 fitness = float(max(statistic, 0.0))
             else:
-                table = self._table_from_results(key, affected, unaffected)
+                # the fitness reads one statistic of an unlabelled table;
+                # labels are for the tables a person reads
+                table = ContingencyTable.from_rows(
+                    affected.expected_haplotype_counts(),
+                    unaffected.expected_haplotype_counts(),
+                )
                 clump = clump_statistics(table, min_expected=self._clump_min_expected)
                 fitness = float(clump.statistic(self._statistic))
             slot_fitness[slot] = fitness

@@ -64,3 +64,11 @@ class TestChi2Sf:
 
     def test_matches_scipy(self):
         assert chi2_sf(3.84, 1) == pytest.approx(scipy_stats.chi2.sf(3.84, 1))
+
+    def test_bit_identical_to_scipy_distribution(self):
+        for df in range(1, 64):
+            for x in np.linspace(0.0, 2.5 * df + 40.0, 41):
+                assert chi2_sf(float(x), df) == float(scipy_stats.chi2.sf(x, df)), (x, df)
+
+    def test_outside_the_support_returns_one(self):
+        assert chi2_sf(-1.0, 1) == chi2_sf(0.0, 3) == chi2_sf(5.0, 0) == 1.0

@@ -1,10 +1,18 @@
 """Smoke tests of the top-level package surface."""
 
+import ast
 import importlib
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 import repro
+
+_ROOT = Path(__file__).resolve().parents[1]
 
 
 class TestPackageSurface:
@@ -48,3 +56,38 @@ class TestPackageSurface:
         )
         result = ga.run()
         assert sorted(result.best_per_size) == [2, 3]
+
+
+class TestDependencies:
+    def test_third_party_imports_are_declared(self):
+        """Every non-stdlib package ``src/repro`` imports is a declared dependency."""
+        tomllib = pytest.importorskip("tomllib")
+        with open(_ROOT / "pyproject.toml", "rb") as handle:
+            requirements = tomllib.load(handle)["project"]["dependencies"]
+        declared = {re.match(r"[A-Za-z0-9_.-]+", req).group().lower() for req in requirements}
+        imported = set()
+        for path in (_ROOT / "src" / "repro").rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                    names = [node.module]
+                else:
+                    continue
+                imported.update(name.split(".")[0] for name in names)
+        third_party = imported - set(sys.stdlib_module_names) - {"repro"}
+        assert third_party <= declared, sorted(third_party - declared)
+
+    def test_serving_stack_does_not_import_scipy_stats(self):
+        """The CLI, daemon, farm and scan need only ``scipy.special``: loading
+        ``scipy.stats`` adds about 45 MB to every process's resident memory."""
+        code = (
+            "import sys\n"
+            "import repro, repro.cli, repro.runtime.server, repro.parallel.farm, repro.scan\n"
+            "assert 'scipy.stats' not in sys.modules, 'scipy.stats imported'\n"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(_ROOT / "src"), env.get("PYTHONPATH")) if p
+        )
+        subprocess.run([sys.executable, "-c", code], check=True, env=env)

@@ -32,6 +32,14 @@ class TestEvaluationCostModel:
         assert fitted.base_seconds == pytest.approx(true.base_seconds, rel=1e-6)
         assert fitted.growth_factor == pytest.approx(true.growth_factor, rel=1e-6)
 
+    def test_fit_of_flat_timings_stays_in_the_model_domain(self):
+        """A negative log-linear slope is clamped to growth 1.0, with the
+        constant-cost least-squares base (the geometric mean)."""
+        seconds = [3e-3, 2.9e-3, 2.8e-3]
+        fitted = EvaluationCostModel.fit([2, 3, 4], seconds)
+        assert fitted.growth_factor == 1.0
+        assert fitted.base_seconds == pytest.approx(float(np.prod(seconds) ** (1 / 3)))
+
     def test_fit_validation(self):
         with pytest.raises(ValueError):
             EvaluationCostModel.fit([3], [0.01])

@@ -48,6 +48,8 @@ class TestEvaluateMany:
         "statistic,warm_start",
         [
             ("t1", False),
+            ("t2", False),
+            ("t3", False),
             ("t4", False),
             ("lrt", False),
             ("lrt", True),
@@ -69,6 +71,24 @@ class TestEvaluateMany:
         assert batched.n_em_runs == sequential.n_em_runs
         assert batched.n_stacked_em >= 1
         assert batched.n_stacked_problems >= len(set(map(tuple, batch)))
+
+    @pytest.mark.parametrize("statistic", ["t1", "t2", "t3", "t4"])
+    def test_computes_only_the_selected_statistic(
+        self, small_dataset, batch, statistic, monkeypatch
+    ):
+        """The fitness path computes one CLUMP statistic, no p-value and no label."""
+        expected = HaplotypeEvaluator(small_dataset, statistic=statistic).evaluate_many(batch)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("computed a value the fitness does not read")
+
+        for other in {"t1", "t2", "t3", "t4"} - {statistic}:
+            monkeypatch.setattr(f"repro.stats.clump.{other}_statistic", forbidden)
+        for module in ("repro.stats.chi2", "repro.stats.ehdiall"):
+            monkeypatch.setattr(f"{module}.chi2_sf", forbidden)
+        monkeypatch.setattr("repro.stats.evaluation.all_haplotype_labels", forbidden)
+        evaluator = HaplotypeEvaluator(small_dataset, statistic=statistic)
+        assert evaluator.evaluate_many(batch) == expected
 
     def test_duplicates_collapse_like_the_result_cache(self, small_dataset):
         base = _random_batch(small_dataset.n_snps, 10, seed=11)
