@@ -15,9 +15,11 @@ leaves):
    cohort scale.  Every cell asserts bitwise-identical expansions before it
    is timed; the headline is the *minimum* per-call gain across cells, and
    the run asserts the >= 1.5x acceptance floor.  Cells use n >= 500
-   individuals: with ~100 rows the shared pair-enumeration cost dominates
-   both paths and the kernels time as a wash — the packed path is built for
-   cohorts where the class-counting scan *is* the cost.
+   individuals, the cohorts the packed path is built for: there class
+   counting (a row sort against a histogram of radix codes) is most of an
+   expansion, while pair enumeration is one vectorised pass both paths
+   share.  With ~50 rows per group the row sort is short and the two paths
+   come closer.
 
 3. **End-to-end scan.**  The same windowed scan byte-wise and packed
    (fingerprints asserted identical).  Recorded as

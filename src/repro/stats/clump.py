@@ -47,6 +47,13 @@ __all__ = [
 ]
 
 
+#: The statistics of a table with no counts, which carries no evidence: every
+#: individual lacks a genotype at some SNP of the haplotype (a failed SNP).
+_NO_EVIDENCE = Chi2Result(statistic=0.0, df=0)
+
+_STATISTICS = ("t1", "t2", "t3", "t4")
+
+
 class ClumpResult:
     """The four CLUMP statistics of a table (and their nominal chi-square results).
 
@@ -77,18 +84,22 @@ class ClumpResult:
     def statistic(self, name: str) -> float:
         """Value of one of the statistics by name (``"t1"`` … ``"t4"``)."""
         name = name.lower()
-        if name not in {"t1", "t2", "t3", "t4"}:
+        if name not in _STATISTICS:
             raise ValueError(f"unknown CLUMP statistic {name!r}")
         return float(getattr(self, name).statistic)
 
 
 def t1_statistic(table: ContingencyTable) -> Chi2Result:
     """T1: Pearson chi-square of the raw table."""
+    if table.total <= 0:
+        return _NO_EVIDENCE
     return pearson_chi2(table)
 
 
 def t2_statistic(table: ContingencyTable, *, min_expected: float = 5.0) -> Chi2Result:
     """T2: Pearson chi-square after clumping rare columns together."""
+    if table.total <= 0:
+        return _NO_EVIDENCE
     return pearson_chi2(table.clump_rare_columns(min_expected))
 
 
@@ -107,6 +118,8 @@ def _two_by_two_chi2(a: float, b: float, c: float, d: float) -> float:
 
 def t3_statistic(table: ContingencyTable) -> Chi2Result:
     """T3: maximum chi-square of each column tested against all the others pooled."""
+    if table.total <= 0:
+        return _NO_EVIDENCE
     table = table.drop_empty_columns()
     counts = table.counts
     row_totals = table.row_totals
@@ -127,6 +140,8 @@ def t4_statistic(table: ContingencyTable) -> Chi2Result:
     that order is evaluated; this examines ``m - 1`` candidate clumpings and
     contains the chi-square-optimal bipartition.
     """
+    if table.total <= 0:
+        return _NO_EVIDENCE
     table = table.drop_empty_columns()
     counts = table.counts
     if table.n_columns < 2:
@@ -188,14 +203,16 @@ def monte_carlo_p_values(
 
     The empirical p-value of each statistic is ``(1 + #{simulated >= observed})
     / (1 + n_simulations)`` — the add-one rule guarantees valid (never zero)
-    p-values.
+    p-values.  A table with no counts carries no evidence: every p-value is 1.
     """
     if n_simulations <= 0:
         raise ValueError("n_simulations must be positive")
+    if table.total <= 0:
+        return {k: 1.0 for k in _STATISTICS}
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     table = table.drop_empty_columns()
     observed = clump_statistics(table, min_expected=min_expected)
-    observed_values = {k: observed.statistic(k) for k in ("t1", "t2", "t3", "t4")}
+    observed_values = {k: observed.statistic(k) for k in _STATISTICS}
     exceed = {k: 0 for k in observed_values}
     row_totals = table.row_totals
     column_p = table.column_totals / table.total

@@ -30,11 +30,18 @@ which works entirely from a pre-computed — typically cached —
 for the EM.  The evaluation pipeline (:mod:`repro.stats.evaluation`) feeds it
 cached per-group expansions and builds the pooled case+control run by
 concatenating the group expansions instead of re-expanding.
+
+A run pays for the H1 EM only: :class:`EHDiallResult` keeps the fit and its
+expansion and computes the allele frequencies, the H0 likelihood and the
+association LRT the first time one of them is read.  The GA's fitness reads
+none of them (CLUMP takes the H1 expected counts, the case/control LRT the H1
+likelihoods), so the fitness path never computes them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -65,10 +72,15 @@ __all__ = [
 class EHDiallResult:
     """Result of an EH-DIALL run on one group of individuals.
 
+    Built from the H1 fit and the expansion it ran on; the H0 side of the
+    report is derived from them when first read and then kept.
+
     Attributes
     ----------
     em:
         The H1 (association) EM fit.
+    expansion:
+        The phase expansion the fit ran on.
     allele_frequencies:
         Per-locus frequency of allele ``2`` estimated from the same
         individuals (gene counting).
@@ -80,14 +92,12 @@ class EHDiallResult:
         ``2 * (h1 - h0)`` likelihood-ratio chi-square for allelic association.
     lrt_df:
         Degrees of freedom of the LRT: ``(2**L - 1) - L``.
+    lrt_p_value:
+        Nominal chi-square p-value of the LRT.
     """
 
     em: EMResult
-    allele_frequencies: np.ndarray
-    h0_log_likelihood: float
-    h1_log_likelihood: float
-    lrt_statistic: float
-    lrt_df: int
+    expansion: PhaseExpansion
 
     @property
     def haplotype_frequencies(self) -> np.ndarray:
@@ -103,6 +113,30 @@ class EHDiallResult:
         return self.em.n_chromosomes
 
     @property
+    def h1_log_likelihood(self) -> float:
+        return self.em.log_likelihood
+
+    @cached_property
+    def allele_frequencies(self) -> np.ndarray:
+        return self.expansion.allele_frequencies()
+
+    @cached_property
+    def h0_log_likelihood(self) -> float:
+        allele_freqs = self.allele_frequencies
+        if self.expansion.n_individuals == 0 or np.any(np.isnan(allele_freqs)):
+            return 0.0
+        return expansion_log_likelihood(self.expansion, h0_frequencies(allele_freqs))
+
+    @cached_property
+    def lrt_statistic(self) -> float:
+        return max(2.0 * (self.h1_log_likelihood - self.h0_log_likelihood), 0.0)
+
+    @cached_property
+    def lrt_df(self) -> int:
+        n_loci = self.expansion.n_loci
+        return max(n_haplotype_states(n_loci) - 1 - n_loci, 0)
+
+    @cached_property
     def lrt_p_value(self) -> float:
         return chi2_sf(self.lrt_statistic, self.lrt_df)
 
@@ -140,10 +174,10 @@ def ehdiall_from_expansion(
     Parameters
     ----------
     expansion:
-        Phase expansion of the group's genotypes at the candidate SNPs; must
-        carry ``class_genotypes`` (expansions from
-        :func:`~repro.stats.em.expand_phases` and
-        :func:`~repro.stats.em.concat_expansions` do).
+        Phase expansion of the group's genotypes at the candidate SNPs.
+        Reading the H0 side of the report needs its ``class_genotypes``
+        (expansions from :func:`~repro.stats.em.expand_phases` and
+        :func:`~repro.stats.em.concat_expansions` carry them).
     max_iter, tol:
         EM control parameters.
     initial_frequencies:
@@ -158,24 +192,8 @@ def ehdiall_from_expansion(
 
 
 def _assemble_result(expansion: PhaseExpansion, em: EMResult) -> EHDiallResult:
-    """Wrap a fitted H1 EM into the full EH-DIALL report (H0, LRT)."""
-    allele_freqs = expansion.allele_frequencies()
-    if expansion.n_individuals > 0 and not np.any(np.isnan(allele_freqs)):
-        h0 = expansion_log_likelihood(expansion, h0_frequencies(allele_freqs))
-    else:
-        h0 = 0.0
-    h1 = em.log_likelihood
-    n_loci = expansion.n_loci
-    lrt_df = max(n_haplotype_states(n_loci) - 1 - n_loci, 0)
-    lrt = max(2.0 * (h1 - h0), 0.0)
-    return EHDiallResult(
-        em=em,
-        allele_frequencies=allele_freqs,
-        h0_log_likelihood=h0,
-        h1_log_likelihood=h1,
-        lrt_statistic=lrt,
-        lrt_df=lrt_df,
-    )
+    """Wrap a fitted H1 EM into the EH-DIALL report (H0 and LRT derive on read)."""
+    return EHDiallResult(em=em, expansion=expansion)
 
 
 def ehdiall_batch(
@@ -190,11 +208,12 @@ def ehdiall_batch(
     The expensive part of each run — the iterated H1 EM — is stacked
     (:func:`~repro.stats.em.stack_expansions` +
     :func:`~repro.stats.em.run_em_stacked`) so the whole batch pays one numpy
-    dispatch per EM operation; the one-shot H0 likelihood and the result
-    assembly stay per-problem.  Every result is **bit-identical** to the
-    corresponding :func:`ehdiall_from_expansion` call: the stacked kernel
-    reproduces the scalar kernel's arithmetic exactly, so batching is purely
-    a throughput decision and batch composition never changes a result.
+    dispatch per EM operation; each result derives its H0 likelihood and LRT
+    on its own, and only if they are read.  Every result is **bit-identical**
+    to the corresponding :func:`ehdiall_from_expansion` call: the stacked
+    kernel reproduces the scalar kernel's arithmetic exactly, so batching is
+    purely a throughput decision and batch composition never changes a
+    result.
 
     A batch of one delegates to the scalar path, and problems whose expansion
     does not support contiguous segmented reductions (possible only for

@@ -31,9 +31,13 @@ number and cost of these EM runs):
   reduction (``np.add.reduceat`` over contiguous class blocks, with an
   ``np.bincount`` fallback for hand-built unsorted expansions) instead of an
   unbuffered ``np.add.at`` scatter;
-* pair enumeration is vectorised: all ``2^(h-1)`` phase assignments of every
-  genotype class are emitted by a handful of broadcast bit operations rather
-  than a Python loop per pair;
+* pair enumeration is one ragged vectorised pass over all genotype classes:
+  the ``2^(h-1)`` phase assignments of every class come out of a few
+  broadcast bit operations, already in class order, with no loop over pairs
+  or heterozygosity counts and no sort;
+* an expansion leaves its builder knowing its class layout (the first pair
+  of each class, and that the pairs are class-sorted), so neither the EM
+  kernels nor batch stacking re-derive it per problem;
 * each EM iteration computes the pair-probability vector **once** and derives
   both the E-step posterior and the log-likelihood from it (the textbook
   formulation — and the seed implementation, preserved in
@@ -154,7 +158,11 @@ class PhaseExpansion:
 
     :func:`expand_phases` emits the pairs sorted by class, which lets the EM
     kernel use contiguous segmented reductions; hand-built expansions may be
-    unsorted and are normalised on entry via :meth:`sorted_by_class`.
+    unsorted and are normalised on entry via :meth:`sorted_by_class`.  The
+    builders (:func:`expand_phases`, :func:`expand_phases_packed`, and
+    :func:`concat_expansions` of class-sorted inputs) hand over the class
+    layout — ``class_starts``, ``is_class_sorted`` — with the expansion; a
+    hand-built expansion derives it on first use.
 
     Attributes
     ----------
@@ -195,6 +203,22 @@ class PhaseExpansion:
     @property
     def n_pairs(self) -> int:
         return self.pair_a.shape[0]
+
+    @classmethod
+    def _with_layout(
+        cls, class_starts: np.ndarray, *, can_reduceat: bool, **fields
+    ) -> "PhaseExpansion":
+        """A class-sorted expansion whose builder already knows its layout.
+
+        The layout properties below are cached per instance, so seeding them
+        here spares every consumer the ``np.diff``/``np.searchsorted`` passes
+        that derive them.
+        """
+        expansion = cls(**fields)
+        vars(expansion).update(
+            is_class_sorted=True, class_starts=class_starts, _can_reduceat=can_reduceat
+        )
+        return expansion
 
     # -- segmented-reduction support ----------------------------------- #
     @cached_property
@@ -295,58 +319,62 @@ def _genotype_pairs(genotype: np.ndarray) -> list[tuple[int, int]]:
     return pairs
 
 
-def _enumerate_pairs(classes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _enumerate_pairs(
+    classes: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Vectorised phase enumeration for a table of distinct complete genotypes.
 
-    Returns ``(pair_a, pair_b, pair_class)`` sorted by class, with pairs
-    within a class ordered by ascending phase-assignment index — the same
-    order the scalar :func:`_genotype_pairs` produces.
+    Returns ``(pair_a, pair_b, pair_class, class_starts)``: the pairs sorted
+    by class, pairs within a class ordered by ascending phase-assignment
+    index — the same order the scalar :func:`_genotype_pairs` produces — and
+    the first pair index of each class.
+
+    All classes go through one ragged pass: a class heterozygous at ``h``
+    loci emits ``2^max(h-1, 0)`` pairs, ``np.repeat`` tags every pair with its
+    class, and a pair's offset ``k`` from its class start is its assignment
+    index.  The first heterozygous locus goes to haplotype a (fixing its
+    phase avoids double counting); the r-th later one goes to a when bit
+    ``r-1`` of ``k`` is set and to b otherwise.
     """
     n_classes, n_loci = classes.shape
-    locus_bits = (np.int64(1) << np.arange(n_loci, dtype=np.int64))
-    base = ((classes == 2).astype(np.int64) @ locus_bits)
-    het_mask = classes == 1
-    het_count = het_mask.sum(axis=1)
+    locus_bits = np.int64(1) << np.arange(n_loci, dtype=np.int64)
+    het = classes == 1
+    base = (classes == 2) @ locus_bits
+    het_bits = het @ locus_bits
+    first = het_bits & -het_bits  # lowest heterozygous locus
+    rank = np.cumsum(het, axis=1)  # 1-based rank among the heterozygous loci
+    # the bit of k that phases each later heterozygous locus; elsewhere bit
+    # 63, which no assignment index sets
+    shift = np.where(het & (rank > 1), rank - 2, 63)
+    pairs_per_class = np.int64(1) << np.maximum(rank[:, -1] - 1, 0)
+    class_starts = np.cumsum(pairs_per_class) - pairs_per_class
+    pair_class = np.repeat(np.arange(n_classes, dtype=np.int64), pairs_per_class)
+    k = np.arange(pair_class.shape[0], dtype=np.int64) - class_starts[pair_class]
+    a_extra = ((k[:, None] >> shift[pair_class]) & 1) @ locus_bits
+    pair_a = (base + first)[pair_class] + a_extra
+    pair_b = (base + het_bits - first)[pair_class] - a_extra
+    return pair_a, pair_b, pair_class, class_starts
 
-    pa_parts: list[np.ndarray] = []
-    pb_parts: list[np.ndarray] = []
-    pc_parts: list[np.ndarray] = []
 
-    # fully phased classes: a single (base, base) pair each
-    hom_rows = np.flatnonzero(het_count == 0)
-    if hom_rows.size:
-        pa_parts.append(base[hom_rows])
-        pb_parts.append(base[hom_rows])
-        pc_parts.append(hom_rows.astype(np.int64))
+def _expansion_from_classes(classes: np.ndarray, counts: np.ndarray) -> PhaseExpansion:
+    """The expansion of distinct complete genotype classes and their counts.
 
-    # classes heterozygous at h loci: 2^(h-1) pairs each, the phase of the
-    # first heterozygous locus fixed to avoid double counting
-    for h in np.unique(het_count[het_count > 0]):
-        h = int(h)
-        rows = np.flatnonzero(het_count == h)
-        het_pos = np.nonzero(het_mask[rows])[1].reshape(rows.size, h)
-        first_mask = locus_bits[het_pos[:, 0]]
-        rest_masks = locus_bits[het_pos[:, 1:]]  # (m, h-1)
-        n_assignments = 1 << (h - 1)
-        bits = (
-            (np.arange(n_assignments, dtype=np.int64)[:, None]
-             >> np.arange(h - 1, dtype=np.int64)[None, :]) & 1
-        )  # (k, h-1)
-        a_extra = rest_masks @ bits.T  # (m, k)
-        b_extra = rest_masks.sum(axis=1, keepdims=True) - a_extra
-        pa_parts.append(((base[rows] + first_mask)[:, None] + a_extra).ravel())
-        pb_parts.append((base[rows][:, None] + b_extra).ravel())
-        pc_parts.append(np.repeat(rows.astype(np.int64), n_assignments))
-
-    if not pa_parts:
-        empty = np.zeros(0, dtype=np.int64)
-        return empty, empty.copy(), empty.copy()
-
-    pa = np.concatenate(pa_parts)
-    pb = np.concatenate(pb_parts)
-    pc = np.concatenate(pc_parts)
-    order = np.argsort(pc, kind="stable")
-    return pa[order], pb[order], pc[order]
+    The shared tail of :func:`expand_phases` and
+    :func:`expand_phases_packed`; the expansion leaves with its class layout.
+    """
+    pair_a, pair_b, pair_class, class_starts = _enumerate_pairs(classes)
+    return PhaseExpansion._with_layout(
+        class_starts,
+        # every class emits at least one pair, so no segment is empty
+        can_reduceat=classes.shape[0] > 0,
+        n_loci=classes.shape[1],
+        class_counts=counts.astype(np.int64),
+        pair_a=pair_a,
+        pair_b=pair_b,
+        pair_class=pair_class,
+        pair_multiplicity=np.where(pair_a == pair_b, 1.0, 2.0),
+        class_genotypes=classes,
+    )
 
 
 def expand_phases(genotypes: np.ndarray) -> PhaseExpansion:
@@ -362,35 +390,13 @@ def expand_phases(genotypes: np.ndarray) -> PhaseExpansion:
     genotypes = np.asarray(genotypes)
     if genotypes.ndim != 2:
         raise ValueError("genotypes must be 2-D (individuals x loci)")
-    n_loci = genotypes.shape[1]
-    if n_loci == 0:
+    if genotypes.shape[1] == 0:
         raise ValueError("at least one locus is required")
-    complete = ~np.any(genotypes == GENOTYPE_MISSING, axis=1)
-    genotypes = genotypes[complete]
-
+    genotypes = genotypes[~np.any(genotypes == GENOTYPE_MISSING, axis=1)]
     if genotypes.shape[0] == 0:
-        return PhaseExpansion(
-            n_loci=n_loci,
-            class_counts=np.zeros(0, dtype=np.int64),
-            pair_a=np.zeros(0, dtype=np.int64),
-            pair_b=np.zeros(0, dtype=np.int64),
-            pair_class=np.zeros(0, dtype=np.int64),
-            pair_multiplicity=np.zeros(0, dtype=np.float64),
-            class_genotypes=np.zeros((0, n_loci), dtype=genotypes.dtype),
-        )
-
+        return _expansion_from_classes(genotypes, np.zeros(0, dtype=np.int64))
     classes, counts = np.unique(genotypes, axis=0, return_counts=True)
-    pa, pb, pc = _enumerate_pairs(classes)
-    multiplicity = np.where(pa == pb, 1.0, 2.0)
-    return PhaseExpansion(
-        n_loci=n_loci,
-        class_counts=counts.astype(np.int64),
-        pair_a=pa,
-        pair_b=pb,
-        pair_class=pc,
-        pair_multiplicity=multiplicity,
-        class_genotypes=classes,
-    )
+    return _expansion_from_classes(classes, counts)
 
 
 #: histogram span cap for the packed class-counting path; denser spans fall
@@ -419,7 +425,7 @@ def expand_phases_packed(
     missing genotype carry digit 3 somewhere; the byte path drops those rows
     before uniquing, this path drops the classes containing digit 3 after
     counting — same surviving classes, same order, same counts.  The decoded
-    classes then feed the same :func:`_enumerate_pairs`, so every
+    classes then feed the same :func:`_expansion_from_classes`, so every
     :class:`PhaseExpansion` field matches the byte path exactly.
     """
     idx = np.asarray(snps, dtype=np.intp)
@@ -441,32 +447,7 @@ def expand_phases_packed(
     shifts = 2 * (n_loci - 1 - np.arange(n_loci))
     digits = (present[:, None] >> shifts) & 3
     complete = ~np.any(digits == CODE_MISSING, axis=1)
-    digits = digits[complete]
-    counts = counts[complete]
-
-    if digits.shape[0] == 0:
-        return PhaseExpansion(
-            n_loci=n_loci,
-            class_counts=np.zeros(0, dtype=np.int64),
-            pair_a=np.zeros(0, dtype=np.int64),
-            pair_b=np.zeros(0, dtype=np.int64),
-            pair_class=np.zeros(0, dtype=np.int64),
-            pair_multiplicity=np.zeros(0, dtype=np.float64),
-            class_genotypes=np.zeros((0, n_loci), dtype=np.int8),
-        )
-
-    classes = digits.astype(np.int8)
-    pa, pb, pc = _enumerate_pairs(classes)
-    multiplicity = np.where(pa == pb, 1.0, 2.0)
-    return PhaseExpansion(
-        n_loci=n_loci,
-        class_counts=counts.astype(np.int64),
-        pair_a=pa,
-        pair_b=pb,
-        pair_class=pc,
-        pair_multiplicity=multiplicity,
-        class_genotypes=classes,
-    )
+    return _expansion_from_classes(digits[complete].astype(np.int8), counts[complete])
 
 
 def concat_expansions(first: PhaseExpansion, second: PhaseExpansion) -> PhaseExpansion:
@@ -488,7 +469,7 @@ def concat_expansions(first: PhaseExpansion, second: PhaseExpansion) -> PhaseExp
     class_genotypes = None
     if first.class_genotypes is not None and second.class_genotypes is not None:
         class_genotypes = np.concatenate([first.class_genotypes, second.class_genotypes])
-    return PhaseExpansion(
+    fields = dict(
         n_loci=first.n_loci,
         class_counts=np.concatenate([first.class_counts, second.class_counts]),
         pair_a=np.concatenate([first.pair_a, second.pair_a]),
@@ -500,6 +481,15 @@ def concat_expansions(first: PhaseExpansion, second: PhaseExpansion) -> PhaseExp
             [first.pair_multiplicity, second.pair_multiplicity]
         ),
         class_genotypes=class_genotypes,
+    )
+    if not (first.is_class_sorted and second.is_class_sorted):
+        return PhaseExpansion(**fields)
+    # two class-sorted inputs stay sorted end to end: the second input's
+    # classes and pairs follow the first's
+    return PhaseExpansion._with_layout(
+        np.concatenate([first.class_starts, second.class_starts + first.n_pairs]),
+        can_reduceat=first._can_reduceat and second._can_reduceat,
+        **fields,
     )
 
 
@@ -834,8 +824,8 @@ def stack_expansions(expansions: Sequence[PhaseExpansion]) -> StackedExpansion:
     pairs_pp = np.array([e.n_pairs for e in exps], dtype=np.int64)
     state_offsets = np.concatenate([[0], np.cumsum(n_states)])
     class_offsets = np.concatenate([[0], np.cumsum(classes_pp)])
-    pairs_per_class = np.concatenate(
-        [np.diff(np.append(e.class_starts, e.n_pairs)) for e in exps]
+    pair_class = np.concatenate(
+        [e.pair_class + class_offsets[i] for i, e in enumerate(exps)]
     )
     return StackedExpansion(
         n_loci=n_loci,
@@ -843,7 +833,8 @@ def stack_expansions(expansions: Sequence[PhaseExpansion]) -> StackedExpansion:
         n_individuals=n_individuals,
         classes_per_problem=classes_pp,
         pairs_per_problem=pairs_pp,
-        pairs_per_class=pairs_per_class.astype(np.int64),
+        # the pairs of each class, counted over the whole batch in one pass
+        pairs_per_class=np.bincount(pair_class, minlength=int(class_offsets[-1])),
         class_counts=np.concatenate([e.class_counts for e in exps]),
         pair_a=np.concatenate(
             [e.pair_a + state_offsets[i] for i, e in enumerate(exps)]
@@ -851,9 +842,7 @@ def stack_expansions(expansions: Sequence[PhaseExpansion]) -> StackedExpansion:
         pair_b=np.concatenate(
             [e.pair_b + state_offsets[i] for i, e in enumerate(exps)]
         ),
-        pair_class=np.concatenate(
-            [e.pair_class + class_offsets[i] for i, e in enumerate(exps)]
-        ),
+        pair_class=pair_class,
         pair_multiplicity=np.concatenate([e.pair_multiplicity for e in exps]),
         can_reduceat=all(e._can_reduceat for e in exps if e.n_pairs > 0),
     )

@@ -15,7 +15,13 @@ from repro.genetics.alleles import GENOTYPE_MISSING
 from repro.genetics.dataset import GenotypeDataset
 from repro.genetics.frequencies import allele_frequencies
 from repro.genetics.ld import pairwise_ld
-from repro.genetics.simulate import DiseaseModel, PopulationModel, simulate_case_control_study
+from repro.genetics.simulate import (
+    DiseaseModel,
+    PopulationModel,
+    lille_like_study,
+    simulate_case_control_study,
+)
+from repro.scan import run_scan
 from repro.stats.ehdiall import run_ehdiall
 from repro.stats.evaluation import HaplotypeEvaluator
 
@@ -32,6 +38,15 @@ def messy_study():
         population_model=model, disease_model=disease,
         n_affected=25, n_unaffected=25, missing_rate=0.10, seed=13,
     )
+
+
+@pytest.fixture(scope="module")
+def failed_snp_dataset():
+    """The serve-smoke panel with SNP 4 missing for everyone (a failed SNP)."""
+    dataset = lille_like_study(seed=9, n_affected=12, n_unaffected=12, n_snps=14).dataset
+    genotypes = dataset.genotypes.copy()
+    genotypes[:, 4] = GENOTYPE_MISSING
+    return GenotypeDataset(genotypes, dataset.status)
 
 
 class TestMissingData:
@@ -68,6 +83,35 @@ class TestMissingData:
         result = run_ehdiall(dataset, (0,))
         assert result.n_individuals == 0
         assert result.h1_log_likelihood == 0.0
+
+    @pytest.mark.parametrize("statistic", ["t1", "t2", "t3", "t4"])
+    def test_haplotype_with_a_failed_snp_scores_zero(self, failed_snp_dataset, statistic):
+        # no individual is typed at every SNP: an empty table, no evidence
+        batch = [(3, 4), (4, 5, 6), (0, 3)]
+        many = HaplotypeEvaluator(failed_snp_dataset, statistic=statistic).evaluate_many(batch)
+        evaluator = HaplotypeEvaluator(failed_snp_dataset, statistic=statistic)
+        single = [evaluator.evaluate(snps) for snps in batch]
+        record = evaluator.evaluate_detailed((3, 4))
+        assert many == single
+        assert many[:2] == [0.0, 0.0] and many[2] > 0.0
+        assert record.fitness == 0.0 and record.table.total == 0.0
+        result = getattr(record.clump, statistic)
+        assert (result.statistic, result.df, result.p_value) == (0.0, 0, 1.0)
+        assert evaluator.significance((3, 4), n_simulations=5) == {
+            name: 1.0 for name in ("t1", "t2", "t3", "t4")
+        }
+
+    def test_scan_over_a_failed_snp_completes(self, failed_snp_dataset):
+        config = GAConfig(
+            population_size=8, min_haplotype_size=2, max_haplotype_size=3,
+            termination_stagnation=2, max_generations=3, point_mutation_trials=1,
+        )
+        reports = [
+            run_scan(failed_snp_dataset, window_size=6, overlap=3, config=config,
+                     seed=11, **substrate)
+            for substrate in ({}, {"backend": "process-shm", "n_workers": 2})
+        ]
+        assert reports[0].fingerprint() == reports[1].fingerprint()
 
 
 class TestDegenerateMarkers:

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.genetics.packed import PackedPanel, pack_genotypes
 from repro.stats.em import (
     PhaseExpansion,
     PhaseExpansionCache,
@@ -19,6 +20,7 @@ from repro.stats.em import (
     estimate_from_expansion,
     estimate_haplotype_frequencies,
     expand_phases,
+    expand_phases_packed,
     expansion_log_likelihood,
     run_em_stacked,
     stack_expansions,
@@ -40,6 +42,63 @@ def _random_genotypes(seed: int, n: int, n_loci: int, missing_rate: float = 0.0)
     if missing_rate > 0:
         genotypes[rng.random((n, n_loci)) < missing_rate] = -1
     return genotypes
+
+
+@st.composite
+def _drawn_genotypes(draw, n_loci: int | None = None) -> np.ndarray:
+    """A generated panel: any shape, missing rate, monomorphic and empty columns."""
+    if n_loci is None:
+        n_loci = draw(st.integers(min_value=1, max_value=10))
+    n = draw(st.integers(min_value=0, max_value=60))
+    missing_rate = draw(st.floats(min_value=0.0, max_value=1.0))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    genotypes = rng.integers(0, 3, size=(n, n_loci)).astype(np.int8)
+    genotypes[rng.random(genotypes.shape) < missing_rate] = -1
+    for column in draw(st.sets(st.integers(0, n_loci - 1))):
+        genotypes[:, column] = draw(st.sampled_from([0, 1, 2]))  # monomorphic
+    for column in draw(st.sets(st.integers(0, n_loci - 1), max_size=1)):
+        genotypes[:, column] = -1  # a failed SNP
+    return genotypes
+
+
+#: the fields the seed's reference builder fills (it keeps no class_genotypes)
+_PAIR_FIELDS = ("class_counts", "pair_a", "pair_b", "pair_class", "pair_multiplicity")
+
+
+def _assert_same_expansion(
+    a: PhaseExpansion, b: PhaseExpansion, fields=_PAIR_FIELDS + ("class_genotypes",)
+) -> None:
+    assert a.n_loci == b.n_loci
+    for name in fields:
+        left, right = getattr(a, name), getattr(b, name)
+        assert left.dtype == right.dtype, name
+        np.testing.assert_array_equal(left, right, err_msg=name)
+
+
+_LAYOUT = {"is_class_sorted", "class_starts", "_can_reduceat"}
+
+
+def _rebuilt(expansion: PhaseExpansion) -> PhaseExpansion:
+    """The expansion rebuilt from its six fields, which derives its layout."""
+    return PhaseExpansion(
+        n_loci=expansion.n_loci,
+        class_counts=expansion.class_counts,
+        pair_a=expansion.pair_a,
+        pair_b=expansion.pair_b,
+        pair_class=expansion.pair_class,
+        pair_multiplicity=expansion.pair_multiplicity,
+    )
+
+
+def _assert_carried_layout_matches_derived(expansion: PhaseExpansion) -> None:
+    """The layout a builder hands over equals what a rebuilt expansion derives."""
+    assert _LAYOUT <= vars(expansion).keys()  # known from construction
+    rebuilt = _rebuilt(expansion)
+    assert not _LAYOUT & vars(rebuilt).keys()  # derived on first use
+    assert expansion.is_class_sorted == rebuilt.is_class_sorted
+    assert expansion._can_reduceat == rebuilt._can_reduceat
+    assert expansion.class_starts.dtype == rebuilt.class_starts.dtype
+    np.testing.assert_array_equal(expansion.class_starts, rebuilt.class_starts)
 
 
 def _assert_parity(genotypes: np.ndarray, **kwargs) -> None:
@@ -65,17 +124,40 @@ class TestExpansionParity:
         vectorised = list(zip(expansion.pair_a.tolist(), expansion.pair_b.tolist()))
         assert vectorised == _genotype_pairs(genotype)
 
-    @settings(max_examples=25, deadline=None)
-    @given(st.integers(min_value=0, max_value=10_000))
-    def test_matrix_expansion_matches_reference(self, seed):
-        genotypes = _random_genotypes(seed, 40, 5, missing_rate=0.1)
+    @settings(max_examples=40, deadline=None)
+    @given(_drawn_genotypes())
+    def test_matrix_expansion_matches_reference(self, genotypes):
         new = expand_phases(genotypes)
-        old = reference_expand_phases(genotypes)
-        np.testing.assert_array_equal(new.pair_a, old.pair_a)
-        np.testing.assert_array_equal(new.pair_b, old.pair_b)
-        np.testing.assert_array_equal(new.pair_class, old.pair_class)
-        np.testing.assert_array_equal(new.class_counts, old.class_counts)
-        np.testing.assert_array_equal(new.pair_multiplicity, old.pair_multiplicity)
+        _assert_same_expansion(new, reference_expand_phases(genotypes), _PAIR_FIELDS)
+        # the packed builder emits the same expansion, field by field
+        n, n_loci = genotypes.shape
+        panel = PackedPanel(pack_genotypes(genotypes), n)
+        packed = expand_phases_packed(panel, np.arange(n_loci))
+        _assert_same_expansion(packed, new)
+        _assert_carried_layout_matches_derived(new)
+        _assert_carried_layout_matches_derived(packed)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(min_value=1, max_value=8).flatmap(
+        lambda n_loci: st.tuples(_drawn_genotypes(n_loci), _drawn_genotypes(n_loci))
+    ))
+    def test_concatenated_layout_matches_derived(self, pair):
+        first, second = (expand_phases(g) for g in pair)
+        _assert_carried_layout_matches_derived(concat_expansions(first, second))
+
+    def test_concatenated_layout_keeps_an_empty_class(self):
+        base = expand_phases(_random_genotypes(71, 20, 3))
+        with_empty_class = PhaseExpansion(
+            n_loci=base.n_loci,
+            class_counts=np.append(base.class_counts, 1),
+            pair_a=base.pair_a,
+            pair_b=base.pair_b,
+            pair_class=base.pair_class,
+            pair_multiplicity=base.pair_multiplicity,
+        )
+        assert not with_empty_class._can_reduceat
+        _assert_carried_layout_matches_derived(concat_expansions(with_empty_class, base))
+        _assert_carried_layout_matches_derived(concat_expansions(base, with_empty_class))
 
     def test_expansion_is_class_sorted(self):
         expansion = expand_phases(_random_genotypes(3, 50, 6, missing_rate=0.05))
@@ -155,6 +237,10 @@ class TestUnsortedExpansions:
             pair_multiplicity=sorted_exp.pair_multiplicity[order],
         )
         assert not shuffled.is_class_sorted or np.all(np.diff(shuffled.pair_class) >= 0)
+        # pooling an unsorted expansion leaves the pool to derive its layout
+        pooled = concat_expansions(shuffled, sorted_exp)
+        assert not _LAYOUT & vars(pooled).keys()
+        assert pooled.is_class_sorted == _rebuilt(pooled).is_class_sorted
         a = estimate_from_expansion(shuffled)
         b = reference_estimate_from_expansion(sorted_exp)
         assert a.n_iterations == b.n_iterations

@@ -90,6 +90,20 @@ class TestEvaluateMany:
         evaluator = HaplotypeEvaluator(small_dataset, statistic=statistic)
         assert evaluator.evaluate_many(batch) == expected
 
+    @pytest.mark.parametrize("statistic", ["t1", "t2", "t3", "t4", "lrt"])
+    def test_fitness_path_computes_no_h0(self, small_dataset, batch, statistic, monkeypatch):
+        """No fitness reads EH-DIALL's H0 side, so no fitness computes it."""
+        expected = HaplotypeEvaluator(small_dataset, statistic=statistic).evaluate_many(batch)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("computed an H0 value the fitness does not read")
+
+        monkeypatch.setattr("repro.stats.ehdiall.h0_frequencies", forbidden)
+        monkeypatch.setattr("repro.stats.ehdiall.expansion_log_likelihood", forbidden)
+        monkeypatch.setattr("repro.stats.em.PhaseExpansion.allele_frequencies", forbidden)
+        evaluator = HaplotypeEvaluator(small_dataset, statistic=statistic)
+        assert evaluator.evaluate_many(batch) == expected
+
     def test_duplicates_collapse_like_the_result_cache(self, small_dataset):
         base = _random_batch(small_dataset.n_snps, 10, seed=11)
         batch = base + base[:4]
@@ -163,6 +177,10 @@ class TestEhdiallBatch:
             assert result.h1_log_likelihood == scalar.h1_log_likelihood
             assert result.h0_log_likelihood == scalar.h0_log_likelihood
             assert result.lrt_statistic == scalar.lrt_statistic
+            assert result.lrt_p_value == scalar.lrt_p_value
+            np.testing.assert_array_equal(
+                result.allele_frequencies, scalar.allele_frequencies
+            )
             assert result.em.n_iterations == scalar.em.n_iterations
             np.testing.assert_array_equal(
                 result.em.frequencies, scalar.em.frequencies
