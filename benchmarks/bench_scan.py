@@ -2,8 +2,8 @@
 
 Measures what the scan subsystem was built for: N windowed GA runs over one
 shared execution substrate versus the naive loop a user would write around
-the one-shot ``RunService`` (one farm spin-up, one shared-memory panel
-registration and one cold cache population **per window**).  Records the
+a fresh ``RunScheduler`` per window (one farm spin-up, one shared-memory
+panel registration and one cold cache population **per window**).  Records the
 trajectory to ``BENCH_scan.json`` (diffable with ``scripts/bench_compare.py``).
 
 Workload
@@ -17,11 +17,12 @@ contenders execute the identical per-window ``RunRequest`` sequence:
   backend for the whole scan; windows share the farm, the shared-memory
   segment and the dedup/LRU caches (overlapping windows re-request the same
   global haplotypes).
-* ``naive`` — a fresh one-shot ``RunService.run`` per window, the pre-scan
-  architecture: per-window farm spin-up/teardown and no cross-window reuse.
+* ``naive`` — a fresh scheduler per window, closed after the window: the
+  pre-scan architecture, with per-window farm spin-up/teardown and no
+  cross-window reuse.
 
 The headline number — ``persistent_vs_naive_gain_at_<N>_workers`` — is the
-wall-clock ratio of the two loops on the ``process-shm`` backend; the serial
+wall-clock ratio of the two loops on the ``process`` backend; the serial
 ratio is recorded alongside (it isolates the cache-sharing gain from the
 farm spin-up gain).
 
@@ -46,7 +47,7 @@ if os.path.isdir(_SRC) and _SRC not in sys.path:
 
 from repro.core.config import GAConfig  # noqa: E402
 from repro.experiments.datasets import large249  # noqa: E402
-from repro.runtime.service import RunRequest, RunScheduler, RunService  # noqa: E402
+from repro.runtime.service import RunRequest, RunScheduler  # noqa: E402
 from repro.scan.planner import plan_scan  # noqa: E402
 from repro.scan.runner import execute_plan  # noqa: E402
 
@@ -90,13 +91,12 @@ def bench_persistent(dataset, plan, *, backend, n_workers, jobs) -> dict:
 
 
 def bench_naive(dataset, plan, *, backend, n_workers) -> dict:
-    """A fresh one-shot RunService per window (the pre-scan architecture)."""
+    """A fresh scheduler per window (the pre-scan architecture)."""
     start = time.perf_counter()
     n_requests = n_evaluations = 0
     checksum = 0.0
     n_windows = 0
     for window, request in plan.requests():
-        service = RunService(dataset.window(window.start, window.stop))
         # the naive loop runs each window on its own sub-panel: local indices,
         # a fresh evaluator, and (on process backends) a fresh farm
         local = RunRequest(
@@ -104,10 +104,14 @@ def bench_naive(dataset, plan, *, backend, n_workers) -> dict:
             n_runs=request.n_runs,
             seed=request.seed,
             statistic=request.statistic,
+        )
+        with RunScheduler(
+            dataset.window(window.start, window.stop),
+            statistic=request.statistic,
             backend=backend,
             n_workers=n_workers,
-        )
-        run = service.run(local)
+        ) as scheduler:
+            run = scheduler.run(local)
         n_requests += run.stats.n_requests
         n_evaluations += run.stats.n_evaluations
         best = max(
@@ -184,10 +188,10 @@ def run_benchmark(*, quick: bool) -> dict:
 
     for n_workers in worker_counts:
         persistent = bench_persistent(
-            dataset, plan, backend="process-shm", n_workers=n_workers, jobs=2
+            dataset, plan, backend="process", n_workers=n_workers, jobs=2
         )
         naive = bench_naive(
-            dataset, plan, backend="process-shm", n_workers=n_workers
+            dataset, plan, backend="process", n_workers=n_workers
         )
         check_parity(persistent, naive)
         results[f"persistent_shm_{n_workers}w"] = persistent

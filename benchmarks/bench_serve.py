@@ -53,7 +53,7 @@ DEFAULT_OUTPUT = os.path.join(
 )
 
 N_WORKERS = 4
-BACKEND = "process-shm"
+BACKEND = "process"
 WINDOW_SIZE = 4
 OVERLAP = 2
 BASE_SEED = 170

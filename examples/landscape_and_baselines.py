@@ -14,7 +14,7 @@ that argument on the simulated dataset:
    classic single-population GA the same evaluation budget and compare what
    they find.
 
-Run with:  python examples/landscape_and_baselines.py [--backend process-shm]
+Run with:  python examples/landscape_and_baselines.py [--backend process --workers 2]
 
 Every search method — the adaptive GA and the baselines alike — routes its
 fitness through the execution-backend registry, so ``--backend`` switches
@@ -76,7 +76,7 @@ def main() -> None:
         seed=11,
     )
     # the HaplotypeEvaluator source lets every backend (including the
-    # spec-rebuilding process-shm) derive its worker-side recipe
+    # spec-rebuilding process farm) derive its worker-side recipe
     with AdaptiveMultiPopulationGA(
         cached if args.backend == "serial" else evaluator,
         n_snps=dataset.n_snps, config=config,

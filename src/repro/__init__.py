@@ -40,10 +40,9 @@ from .parallel import (
     MasterSlaveEvaluator,
     SerialEvaluator,
     SimulatedPVM,
-    ThreadPoolEvaluator,
 )
 from .runtime import EvaluatorSpec, backend_names, create_evaluator
-from .runtime.service import RunRequest, RunResult, RunScheduler, RunService
+from .runtime.service import RunRequest, RunResult, RunScheduler
 from .scan import ScanReport, plan_scan, run_scan
 from .stats import (
     CachedEvaluator,
@@ -86,7 +85,6 @@ __all__ = [
     "estimate_haplotype_frequencies",
     # parallel
     "SerialEvaluator",
-    "ThreadPoolEvaluator",
     "MasterSlaveEvaluator",
     "SimulatedPVM",
     "EvaluationCostModel",
@@ -97,7 +95,6 @@ __all__ = [
     "RunRequest",
     "RunResult",
     "RunScheduler",
-    "RunService",
     # scan
     "plan_scan",
     "run_scan",

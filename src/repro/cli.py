@@ -329,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="what happens to a request exceeding "
                               "--max-cost-seconds: wait its turn or be "
                               "rejected (default: queue)")
-    _add_backend_arguments(p_serve, default_backend="process-shm", default_seed=0)
+    _add_backend_arguments(p_serve, default_backend="process", default_seed=0)
 
     return parser
 
@@ -428,7 +428,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     from .core.config import GAConfig
-    from .runtime.service import RunRequest, RunService
+    from .runtime.service import RunRequest, RunScheduler
 
     config = GAConfig(
         population_size=args.population_size,
@@ -480,25 +480,23 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print("run --backend remote requires --hosts HOST:PORT ...",
               file=sys.stderr)
         return 2
-    service = RunService(dataset)
-    run = service.run(
-        RunRequest(
-            config=config,
-            statistic=args.statistic,
-            backend=backend,
-            # an explicit --backend honours --workers exactly (even 1); only
-            # the serial default leaves the worker count to the backend —
-            # and a remote pool runs one slave per host entry
-            n_workers=(
-                None if backend == "remote"
-                else args.workers if args.backend or args.workers > 1
-                else None
-            ),
-            chunk_size=args.chunk_size,
-            packed=args.packed,
-            hosts=tuple(args.hosts) if args.hosts else None,
-        )
-    )
+    with RunScheduler(
+        dataset,
+        statistic=args.statistic,
+        backend=backend,
+        # an explicit --backend honours --workers exactly (even 1); only the
+        # serial default leaves the worker count to the backend — and a
+        # remote pool runs one slave per host entry
+        n_workers=(
+            None if backend == "remote"
+            else args.workers if args.backend or args.workers > 1
+            else None
+        ),
+        chunk_size=args.chunk_size,
+        packed=args.packed,
+        hosts=tuple(args.hosts) if args.hosts else None,
+    ) as scheduler:
+        run = scheduler.run(RunRequest(config=config, statistic=args.statistic))
     result = run.result
     print(
         f"finished after {result.n_generations} generations, "
@@ -567,10 +565,10 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     if args.resume and args.checkpoint is None:
         print("scan --resume requires --checkpoint PATH", file=sys.stderr)
         return 2
-    if args.self_heal and args.backend in ("serial", "threads"):
+    if args.self_heal and args.backend == "serial":
         print(
-            f"scan --self-heal needs a process-farm backend "
-            f"(process, process-shm, async, remote), not {args.backend!r}",
+            "scan --self-heal needs a process-farm backend (process or "
+            "remote), not 'serial'",
             file=sys.stderr,
         )
         return 2
@@ -675,7 +673,7 @@ def _cmd_speedup(args: argparse.Namespace) -> int:
 
     if args.measured and args.backend == "serial":
         print("speedup --measured times a parallel farm; pick --backend "
-              "threads, process or process-shm", file=sys.stderr)
+              "process", file=sys.stderr)
         return 2
     print(run_simulated_speedup(seed=args.seed).format())
     if args.measured:

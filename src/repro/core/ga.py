@@ -212,7 +212,7 @@ class AdaptiveMultiPopulationGA:
         """Release the evaluator's resources if this GA created it.
 
         A process-backed evaluator resolved from ``backend=`` holds worker
-        processes (and, for ``process-shm``, a shared-memory segment); the GA
+        processes (and, for ``process``, a shared-memory segment); the GA
         owns those and releases them here.  An evaluator supplied explicitly
         by the caller is left untouched.  Idempotent; also available as a
         context manager::

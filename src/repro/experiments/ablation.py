@@ -22,7 +22,7 @@ import numpy as np
 from ..core.config import GAConfig
 from ..genetics.constraints import HaplotypeConstraints
 from ..genetics.simulate import SimulatedStudy
-from ..runtime.service import RunRequest, RunService
+from ..runtime.service import RunRequest, RunScheduler
 from .datasets import DEFAULT_SEED, lille51
 from .reporting import format_table
 from .table2 import quick_config
@@ -143,8 +143,10 @@ def run_ablation(
 
     Every scheme runs ``n_runs`` times with seeds ``seed … seed + n_runs - 1``
     under the same configuration except for the toggled mechanisms; every
-    scheme is dispatched through the same execution backend
+    scheme is dispatched through one scheduler on the same execution backend
     (:mod:`repro.runtime.backends`), so the comparison stays controlled.
+    Fitness is a pure function of the haplotype, so sharing the substrate's
+    caches across schemes changes no scheme's runs.
     """
     if n_runs < 1:
         raise ValueError("n_runs must be positive")
@@ -153,25 +155,26 @@ def run_ablation(
     schemes = tuple(schemes) if schemes is not None else default_schemes()
     n_snps = study.dataset.n_snps
     constraints = constraints or HaplotypeConstraints.unconstrained(n_snps)
-    service = RunService(study.dataset)
+    with RunScheduler(
+        study.dataset, backend=backend, n_workers=n_workers, chunk_size=chunk_size
+    ) as scheduler:
+        runs_per_scheme = [
+            scheduler.run(
+                RunRequest(
+                    config=scheme.apply(config),
+                    n_runs=n_runs,
+                    seed=seed,
+                    constraints=constraints,
+                )
+            ).runs
+            for scheme in schemes
+        ]
 
     outcomes: list[SchemeOutcome] = []
-    for scheme in schemes:
-        scheme_config = scheme.apply(config)
+    for scheme, scheme_runs in zip(schemes, runs_per_scheme):
         best_per_size: dict[int, list[float]] = {}
         total_evaluations: list[float] = []
         evaluations_to_best: list[float] = []
-        scheme_runs = service.run(
-            RunRequest(
-                config=scheme_config,
-                n_runs=n_runs,
-                seed=seed,
-                backend=backend,
-                n_workers=n_workers,
-                chunk_size=chunk_size,
-                constraints=constraints,
-            )
-        ).runs
         for result in scheme_runs:
             total_evaluations.append(result.n_evaluations)
             if result.evaluations_to_best:

@@ -25,7 +25,8 @@ from ..core.config import GAConfig
 from ..core.history import GAResult
 from ..genetics.constraints import HaplotypeConstraints
 from ..genetics.simulate import SimulatedStudy
-from ..runtime.service import RunRequest, RunService
+from ..runtime.service import RunRequest, RunScheduler
+from ..runtime.spec import EvaluatorSpec
 from ..search.exhaustive import enumerate_best
 from ..stats.cache import CachedEvaluator
 from .datasets import DEFAULT_SEED, lille51
@@ -190,19 +191,24 @@ def run_table2(
     n_snps = study.dataset.n_snps
     constraints = constraints or HaplotypeConstraints.unconstrained(n_snps)
 
-    service = RunService(study.dataset)
-    request = RunRequest(
-        config=config,
-        n_runs=n_runs,
-        seed=seed,
-        statistic=statistic,
+    # one evaluator serves the runs (in-process on serial) and the reference
+    # search below, so the two share its reuse caches
+    evaluator = EvaluatorSpec(statistic=statistic).build(study.dataset)
+    with RunScheduler(
+        study.dataset,
+        source=evaluator,
         backend=backend,
         n_workers=n_workers,
         chunk_size=chunk_size,
-        constraints=constraints,
-    )
-    run_results: list[GAResult] = list(service.run(request).runs)
-    evaluator = service.local_evaluator(request)
+    ) as scheduler:
+        request = RunRequest(
+            config=config,
+            n_runs=n_runs,
+            seed=seed,
+            statistic=statistic,
+            constraints=constraints,
+        )
+        run_results: list[GAResult] = list(scheduler.run(request).runs)
 
     sizes = sorted(
         {size for result in run_results for size in result.best_per_size}

@@ -28,7 +28,6 @@ from .farm import (
 from .master_slave import MasterSlaveEvaluator, default_worker_count
 from .pvm import EvaluationCostModel, SimulatedPVM, SimulatedSchedule, SlaveTimeline
 from .serial import SerialEvaluator
-from .threads import ThreadPoolEvaluator
 from .timing import SpeedupPoint, SpeedupReport, Timer, time_callable
 
 __all__ = [
@@ -38,7 +37,6 @@ __all__ = [
     "EvaluationStats",
     "DistinctEvaluation",
     "SerialEvaluator",
-    "ThreadPoolEvaluator",
     "MasterSlaveEvaluator",
     "ChunkedWorkerFarm",
     "ChunkStats",

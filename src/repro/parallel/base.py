@@ -115,8 +115,8 @@ def evaluate_batch_with(
     where the counter deltas report the stacked kernel work the call caused
     (0 for plain callables).
 
-    This is the single routing point the serial evaluator, the thread pool's
-    worker chunks and the farm slaves' chunk fast path all share.
+    This is the single routing point the serial evaluator and the farm
+    slaves' chunk fast path share.
     """
     evaluate_many = getattr(fitness, "evaluate_many", None)
     if evaluate_many is None or len(batch) < 2:
@@ -493,7 +493,7 @@ class BaseBatchEvaluator(abc.ABC):
         """Register a cleanup hook run (once) when the evaluator is closed.
 
         Used by the backend layer to tie auxiliary resources — e.g. the
-        shared-memory genotype store of the ``process-shm`` backend — to the
+        shared-memory genotype store of the ``process`` backend — to the
         evaluator's lifetime.
         """
         self._close_callbacks.append(callback)

@@ -66,7 +66,7 @@ class MasterSlaveEvaluator(BaseBatchEvaluator):
         exclusive with ``evaluator_factory``.
     evaluator_factory:
         Picklable zero-argument callable; each worker calls it once to build
-        its own fitness function.  This is how the ``process-shm`` backend
+        its own fitness function.  This is how the ``process`` backend
         rebuilds lightweight evaluator views over a shared-memory genotype
         store instead of receiving a pickled copy of the data.
     n_workers:

@@ -5,31 +5,26 @@ experiment harnesses, the CLI — asks this registry for a
 :class:`~repro.parallel.base.BatchEvaluator` by *name* instead of
 hand-building one:
 
-========== ==================================================================
-name       substrate
-========== ==================================================================
-serial     in-process loop (the reference backend)
-threads    thread pool; shared arrays, per-thread evaluators, GIL-bound
-process    chunked master/slave farm; data pickled once per slave
-process-shm chunked master/slave farm; slaves attach to one shared-memory
-           copy of the genotype matrices and rebuild lightweight evaluator
-           views over it
-async      work-stealing master/slave farm: bounded per-slave in-flight
-           chunks, idle slaves refilled from the longest affinity queue,
-           completions streamed instead of barrier-joined; shared-memory
-           data when a spec + dataset is available, pickled otherwise
-remote     multi-host master/slave farm over authenticated sockets
-           (``hosts=["host:port", ...]``, one slave per entry): each
-           connection ships the 2-bit packed panel once, then only
-           haplotype chunks travel; dead connections replay like dead
-           slaves
-========== ==================================================================
+=========== =================================================================
+name        substrate
+=========== =================================================================
+serial      in-process loop (the reference backend)
+process     the local synchronous master/slave farm: slaves attach to one
+            shared-memory copy of the genotype matrices and rebuild
+            lightweight evaluator views over it; a bare fitness callable is
+            pickled once to each slave instead
+process-shm a second name for ``process``
+remote      multi-host master/slave farm over authenticated sockets
+            (``hosts=["host:port", ...]``, one slave per entry): each
+            connection ships the 2-bit packed panel once, then only
+            haplotype chunks travel; dead connections replay like dead
+            slaves
+=========== =================================================================
 
 A backend factory receives the normalised request — an
 :class:`~repro.runtime.spec.EvaluatorSpec` plus dataset and/or a plain
-fitness callable — and returns a live evaluator.  New substrates (sharded,
-remote) become a :func:`register_backend` call instead of a rewrite of every
-call site.
+fitness callable — and returns a live evaluator.  New substrates become a
+:func:`register_backend` call instead of a rewrite of every call site.
 """
 
 from __future__ import annotations
@@ -43,15 +38,9 @@ from ..parallel.farm import FarmRecoveryPolicy
 from ..parallel.master_slave import MasterSlaveEvaluator
 from ..parallel.pvm import EvaluationCostModel
 from ..parallel.serial import SerialEvaluator
-from ..parallel.threads import ThreadPoolEvaluator
 from ..stats.evaluation import HaplotypeEvaluator
 from .shm import SharedGenotypeStore
-from .spec import (
-    EvaluatorSpec,
-    InMemoryDatasetHandle,
-    PackedDatasetHandle,
-    SpecEvaluatorFactory,
-)
+from .spec import EvaluatorSpec, PackedDatasetHandle, SpecEvaluatorFactory
 
 __all__ = [
     "BackendRequest",
@@ -71,9 +60,8 @@ class BackendRequest:
     """Normalised arguments every backend factory receives.
 
     Exactly one of (``fitness``) or (``spec`` + ``dataset``) is guaranteed to
-    be usable; backends that must rebuild evaluators in another process
-    (``process-shm``) require the spec form and raise a ``TypeError``
-    otherwise.
+    be usable; a backend that must rebuild evaluators on another machine
+    (``remote``) requires the spec form and raises a ``TypeError`` otherwise.
     """
 
     spec: EvaluatorSpec | None
@@ -101,7 +89,7 @@ class BackendRequest:
     def require_spec(self, backend: str) -> tuple[EvaluatorSpec, GenotypeDataset]:
         if self.spec is None or self.dataset is None:
             raise TypeError(
-                f"the {backend!r} backend rebuilds evaluators in worker processes "
+                f"the {backend!r} backend rebuilds evaluators on its worker hosts "
                 f"and therefore needs an EvaluatorSpec + dataset (or a "
                 f"HaplotypeEvaluator to derive them from), not a bare callable"
             )
@@ -154,10 +142,13 @@ def create_evaluator(
 ) -> BatchEvaluator:
     """Build a batch evaluator on the named backend.
 
-    ``source`` may be a live :class:`HaplotypeEvaluator` (spec and dataset
-    are derived from it), an :class:`EvaluatorSpec` (``dataset`` required),
-    or any fitness callable (sufficient for the in-process backends and, if
-    picklable, for ``process``).  ``cost_model`` (optional) feeds the chunked
+    ``source`` may be a live :class:`HaplotypeEvaluator` (its spec is
+    derived from it, and so is ``dataset`` when omitted), an
+    :class:`EvaluatorSpec` (``dataset`` required), or any fitness callable
+    (sufficient for ``serial`` and, if picklable, for ``process``).  A live
+    evaluator answers in-process fitnesses only over its own dataset; given
+    another ``dataset``, every backend rebuilds it from its spec over that
+    panel.  ``cost_model`` (optional) feeds the chunked
     farms' cost-driven auto chunking, e.g. a model the scheduler calibrated
     on measured evaluation times.  ``recovery`` (optional) installs a
     :class:`~repro.parallel.farm.FarmRecoveryPolicy` on the process-farm
@@ -185,8 +176,9 @@ def create_evaluator(
         spec = source
     elif isinstance(source, HaplotypeEvaluator):
         spec = EvaluatorSpec.from_evaluator(source)
-        dataset = source.dataset if dataset is None else dataset
-        fitness = source
+        if dataset is None or dataset is source.dataset:
+            dataset = source.dataset
+            fitness = source
     elif callable(source):
         fitness = source
     else:
@@ -226,60 +218,25 @@ def create_evaluator(
 # --------------------------------------------------------------------- #
 # the built-in backends
 # --------------------------------------------------------------------- #
-def _require_process_farm_features_unused(request: BackendRequest, backend: str) -> None:
-    """In-process backends have no slave processes to heal or wrap."""
+def _serial_backend(request: BackendRequest) -> BatchEvaluator:
+    # in-process: no slave processes to heal or wrap, no hosts to reach
     if request.recovery is not None or request.worker_wrapper is not None:
         raise TypeError(
-            f"the {backend!r} backend runs in-process and supports neither a "
-            f"recovery policy nor a worker_wrapper; use a process-farm backend "
-            f"(process, process-shm, async)"
+            "the 'serial' backend runs in-process and supports neither a "
+            "recovery policy nor a worker_wrapper; use a process-farm backend "
+            "(process, remote)"
         )
     if request.hosts is not None:
         raise TypeError(
-            f"the {backend!r} backend runs in-process and cannot use remote "
-            f"hosts; use the 'remote' backend"
+            "the 'serial' backend runs in-process and cannot use remote "
+            "hosts; use the 'remote' backend"
         )
-
-
-def _require_local_farm(request: BackendRequest, backend: str) -> None:
-    """Local process farms cannot reach remote hosts."""
-    if request.hosts is not None:
-        raise TypeError(
-            f"the {backend!r} backend runs local slave processes and ignores "
-            f"hosts; use the 'remote' backend for multi-host dispatch"
-        )
-
-
-def _serial_backend(request: BackendRequest) -> BatchEvaluator:
-    _require_process_farm_features_unused(request, "serial")
     return SerialEvaluator(
         request.local_fitness(), dedup=request.dedup, cache_size=request.cache_size
     )
 
 
-def _threads_backend(request: BackendRequest) -> BatchEvaluator:
-    _require_process_farm_features_unused(request, "threads")
-    if request.spec is not None and request.dataset is not None:
-        # per-thread evaluators over the (naturally shared) in-process arrays
-        return ThreadPoolEvaluator(
-            evaluator_factory=SpecEvaluatorFactory(
-                request.spec, InMemoryDatasetHandle(request.dataset)
-            ),
-            n_workers=request.n_workers,
-            chunk_size=request.chunk_size,
-            dedup=request.dedup,
-            cache_size=request.cache_size,
-        )
-    return ThreadPoolEvaluator(
-        request.fitness,
-        n_workers=request.n_workers,
-        chunk_size=request.chunk_size,
-        dedup=request.dedup,
-        cache_size=request.cache_size,
-    )
-
-
-def _farm_kwargs(request: BackendRequest, *, steal: bool) -> dict:
+def _farm_kwargs(request: BackendRequest) -> dict:
     """The MasterSlaveEvaluator arguments shared by every chunked-farm backend."""
     return dict(
         n_workers=request.n_workers,
@@ -288,57 +245,38 @@ def _farm_kwargs(request: BackendRequest, *, steal: bool) -> dict:
         start_method=request.start_method,
         dedup=request.dedup,
         cache_size=request.cache_size,
-        steal=steal,
         cost_model=request.cost_model,
         recovery=request.recovery,
         worker_wrapper=request.worker_wrapper,
     )
 
 
-def _process_backend(request: BackendRequest, *, steal: bool = False) -> BatchEvaluator:
-    _require_local_farm(request, "process")
-    if request.spec is not None and request.dataset is not None:
-        factory = SpecEvaluatorFactory(request.spec, InMemoryDatasetHandle(request.dataset))
-        return MasterSlaveEvaluator(
-            evaluator_factory=factory, **_farm_kwargs(request, steal=steal)
+def _process_backend(request: BackendRequest) -> BatchEvaluator:
+    """The local farm: slaves attach to one shared-memory copy of the panel.
+
+    With a spec and a dataset, one :class:`SharedGenotypeStore` (packed when
+    the request is) backs every slave's evaluator, and the evaluator's close
+    releases it.  A bare fitness callable is pickled once to each slave
+    instead.  Dispatch is affinity-only: no stealing.
+    """
+    if request.hosts is not None:
+        raise TypeError(
+            "the 'process' backend runs local slave processes and ignores "
+            "hosts; use the 'remote' backend for multi-host dispatch"
         )
-    return MasterSlaveEvaluator(request.fitness, **_farm_kwargs(request, steal=steal))
-
-
-def _shm_farm_backend(
-    request: BackendRequest, *, backend_name: str, steal: bool
-) -> BatchEvaluator:
-    _require_local_farm(request, backend_name)
-    spec, dataset = request.require_spec(backend_name)
-    store = SharedGenotypeStore(dataset, packed=request.packed)
+    if request.spec is None or request.dataset is None:
+        return MasterSlaveEvaluator(request.fitness, **_farm_kwargs(request))
+    store = SharedGenotypeStore(request.dataset, packed=request.packed)
     try:
         evaluator = MasterSlaveEvaluator(
-            evaluator_factory=SpecEvaluatorFactory(spec, store.handle),
-            **_farm_kwargs(request, steal=steal),
+            evaluator_factory=SpecEvaluatorFactory(request.spec, store.handle),
+            **_farm_kwargs(request),
         )
     except BaseException:
         store.release()
         raise
     evaluator.register_close_callback(store.release)
     return evaluator
-
-
-def _process_shm_backend(request: BackendRequest) -> BatchEvaluator:
-    return _shm_farm_backend(request, backend_name="process-shm", steal=False)
-
-
-def _async_backend(request: BackendRequest) -> BatchEvaluator:
-    """The work-stealing farm: shared-memory data when possible, pickled otherwise.
-
-    Synchronous calls (``evaluate_batch``) return bit-identical fitnesses to
-    the other farm backends — stealing only changes which slave evaluates a
-    chunk, never the result.  Requests and total answered work match too;
-    only the evaluations-vs-slave-cache-hits split can shift when repeats
-    reach the slaves (the master-side dedup/LRU normally prevents that).
-    """
-    if request.spec is not None and request.dataset is not None:
-        return _shm_farm_backend(request, backend_name="async", steal=True)
-    return _process_backend(request, steal=True)
 
 
 def _remote_backend(request: BackendRequest) -> BatchEvaluator:
@@ -358,19 +296,18 @@ def _remote_backend(request: BackendRequest) -> BatchEvaluator:
             "the 'remote' backend needs hosts=[\"host:port\", ...] naming the "
             "worker hosts (one slave per entry)"
         )
-    kwargs = _farm_kwargs(request, steal=True)
+    kwargs = _farm_kwargs(request)
     kwargs.pop("n_workers")  # one slave per host entry
     kwargs.pop("start_method")  # slaves are started by their hosts
     return MasterSlaveEvaluator(
         evaluator_factory=SpecEvaluatorFactory(spec, PackedDatasetHandle(dataset)),
         hosts=request.hosts,
+        steal=True,
         **kwargs,
     )
 
 
 register_backend("serial", _serial_backend)
-register_backend("threads", _threads_backend)
 register_backend("process", _process_backend)
-register_backend("process-shm", _process_shm_backend)
-register_backend("async", _async_backend)
+register_backend("process-shm", _process_backend)
 register_backend("remote", _remote_backend)

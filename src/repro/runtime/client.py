@@ -39,6 +39,7 @@ from ..scan.report import ScanReport, WindowResult, window_result_from_json
 from .server import AdmissionRejected
 from .service import RunRequest, RunResult
 from .spec import (
+    PROTOCOL_VERSION,
     ClientHello,
     HealthProbe,
     RunEnvelope,
@@ -311,7 +312,11 @@ class ScanClient:
             if self._wrap_connection is not None:
                 conn = self._wrap_connection(conn)
             try:
-                conn.send(ClientHello(client_id=self._client_id))
+                conn.send(
+                    ClientHello(
+                        client_id=self._client_id, protocol_version=PROTOCOL_VERSION
+                    )
+                )
                 deadline = (
                     None
                     if self._connect_timeout is None

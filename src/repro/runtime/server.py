@@ -71,6 +71,7 @@ from .service import (
     estimate_request_cost,
 )
 from .spec import (
+    PROTOCOL_VERSION,
     ClientHello,
     HealthProbe,
     RunEnvelope,
@@ -722,6 +723,19 @@ class ScanServer:
                     ("error", f"expected ClientHello, got {type(hello).__name__}"),
                 )
                 return
+            # no default on the field, so an older client's hello lacks it
+            version = getattr(hello, "protocol_version", None)
+            if version != PROTOCOL_VERSION:
+                self._send(
+                    conn,
+                    (
+                        "error",
+                        f"protocol version mismatch: the client speaks "
+                        f"{version}, this daemon speaks {PROTOCOL_VERSION}; "
+                        f"run the same release on both ends",
+                    ),
+                )
+                return
             client_id = str(hello.client_id)
             self._tenants.record_connection(client_id)
             if not self._send(
@@ -895,6 +909,11 @@ class ScanServer:
             n_cached = 0
             n_recovered = 0
             for window, request in jobs:
+                if not self._client_attached(conn):
+                    # the client hung up mid-scan (it sends nothing while a
+                    # scan streams): stop here and keep the journal, rather
+                    # than finish the scan and retire it for nobody
+                    return
                 key = self._window_key(window, request)
                 payload = self._cache.get(key)
                 cached = payload is not None

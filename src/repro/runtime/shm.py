@@ -1,4 +1,4 @@
-"""Shared-memory genotype store for the ``process-shm`` backend.
+"""Shared-memory genotype store for the ``process`` backend (the local farm).
 
 Second-generation PLINK attributes much of its scaling to keeping **one**
 in-memory copy of the genotype matrix that every computation unit reads.

@@ -4,12 +4,16 @@ The execution-backend layer never ships live
 :class:`~repro.stats.evaluation.HaplotypeEvaluator` objects around by
 default.  Instead it passes a small, picklable :class:`EvaluatorSpec`
 (statistic + EM/CLUMP/caching parameters) together with a
-:class:`DatasetHandle` describing *where the genotype data lives* — embedded
-in the message (:class:`InMemoryDatasetHandle`) or in a shared-memory segment
-(:class:`~repro.runtime.shm.SharedDatasetHandle`).  Every worker combines the
+:class:`DatasetHandle` describing *where the genotype data lives* — in a
+shared-memory segment (:class:`~repro.runtime.shm.SharedDatasetHandle`, the
+local farm) or embedded in the message as the 2-bit packed panel
+(:class:`PackedDatasetHandle`, the remote hosts).  Every worker combines the
 two once at start-up and keeps the resulting evaluator for its lifetime,
 which is exactly the paper's "the slaves are initiated at the beginning and
 access only once to the data".
+
+The module also holds the scan daemon's wire envelopes and
+:data:`PROTOCOL_VERSION`, the version of their pickled shapes.
 """
 
 from __future__ import annotations
@@ -27,9 +31,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only (service imports spec)
 __all__ = [
     "EvaluatorSpec",
     "DatasetHandle",
-    "InMemoryDatasetHandle",
     "PackedDatasetHandle",
     "SpecEvaluatorFactory",
+    "PROTOCOL_VERSION",
     "ClientHello",
     "ScanEnvelope",
     "RunEnvelope",
@@ -46,16 +50,6 @@ class DatasetHandle(Protocol):
     def load(self) -> GenotypeDataset:
         """Materialise (or attach to) the dataset; called once per worker."""
         ...
-
-
-@dataclass(frozen=True)
-class InMemoryDatasetHandle:
-    """The trivial handle: the dataset itself travels with the message."""
-
-    dataset: GenotypeDataset
-
-    def load(self) -> GenotypeDataset:
-        return self.dataset
 
 
 @dataclass(frozen=True)
@@ -151,16 +145,25 @@ class EvaluatorSpec:
 # because both endpoints import them and this module is the runtime layer's
 # designated home for picklable message types.
 
+#: Version of the envelopes' pickled shapes.  Bump it whenever a field of an
+#: envelope (or of the request objects they carry) is added, removed or
+#: changes meaning: the daemon refuses a hello from another version.
+PROTOCOL_VERSION = 1
+
 
 @dataclass(frozen=True)
 class ClientHello:
-    """First message of every connection: who is asking.
+    """First message of every connection: who is asking, in which protocol.
 
     ``client_id`` scopes the per-tenant metrics and in-flight caps; clients
-    sharing an id share a quota (and a metrics row).
+    sharing an id share a quota (and a metrics row).  ``protocol_version``
+    is the sender's :data:`PROTOCOL_VERSION`.  It has no default on purpose:
+    a default would also be a class attribute, so a hello pickled by a
+    client that predates the field would read it and pass the check.
     """
 
     client_id: str
+    protocol_version: int
 
 
 @dataclass(frozen=True)
@@ -185,9 +188,8 @@ class ScanEnvelope:
 class RunEnvelope:
     """One direct GA run: a :class:`~repro.runtime.service.RunRequest`.
 
-    The request's own execution fields (backend, workers, hosts, ...) are
-    ignored — the daemon's warm substrate executes it; only the evaluator
-    spec/statistic must match the server's.
+    The request says only what to run; the daemon's warm substrate executes
+    it, and the evaluator spec/statistic must match the server's.
     """
 
     request: "RunRequest"
@@ -216,9 +218,9 @@ class ShutdownCommand:
 class SpecEvaluatorFactory:
     """Picklable worker-side factory: ``handle.load()`` + ``spec.build()``.
 
-    Instances are shipped to worker processes (or shared with worker threads)
-    and called exactly once each; the handle decides whether the data is
-    embedded, re-read or attached from shared memory.
+    Instances are shipped to worker processes and called exactly once each;
+    the handle decides whether the data is embedded or attached from shared
+    memory.
     """
 
     spec: EvaluatorSpec

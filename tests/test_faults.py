@@ -249,7 +249,7 @@ class TestSchedulerRecovery:
     def _run(self, dataset, config, *, worker_wrapper=None, recovery=None):
         scheduler = RunScheduler(
             dataset,
-            backend="async",
+            backend="process",
             n_workers=2,
             recovery=recovery,
             worker_wrapper=worker_wrapper,
@@ -282,9 +282,9 @@ class TestSchedulerRecovery:
         }
         assert best == expected
         assert stats.counters() == reference_stats.counters()
-        line = backend_summary_line("async", stats)
+        line = backend_summary_line("process", stats)
         assert "survived" in line and "worker death" in line
-        assert "survived" not in backend_summary_line("async", reference_stats)
+        assert "survived" not in backend_summary_line("process", reference_stats)
 
     def test_worker_wrapper_rejected_off_process_backends(self, small_dataset):
         with pytest.raises(TypeError, match="worker_wrapper"):
@@ -295,5 +295,5 @@ class TestSchedulerRecovery:
             )
         with pytest.raises(TypeError, match="recovery"):
             RunScheduler(
-                small_dataset, backend="threads", recovery=FarmRecoveryPolicy()
+                small_dataset, backend="serial", recovery=FarmRecoveryPolicy()
             )

@@ -74,13 +74,13 @@ class TestConstruction:
             )
 
     def test_backend_name_resolves_the_evaluator(self, small_evaluator):
-        from repro.parallel.threads import ThreadPoolEvaluator
+        from repro.parallel.master_slave import MasterSlaveEvaluator
 
         with AdaptiveMultiPopulationGA(
-            small_evaluator, n_snps=N_SNPS, backend="threads",
+            small_evaluator, n_snps=N_SNPS, backend="process",
             backend_options={"n_workers": 2},
         ) as ga:
-            assert isinstance(ga.evaluator, ThreadPoolEvaluator)
+            assert isinstance(ga.evaluator, MasterSlaveEvaluator)
 
     def test_close_releases_only_owned_evaluators(self, small_evaluator):
         from repro.parallel.serial import SerialEvaluator
@@ -327,7 +327,7 @@ class TestSteadyStateOverlap:
             small_evaluator,
             n_snps=N_SNPS,
             config=_config(overlap_generations=1, max_generations=6),
-            backend="async",
+            backend="process",
             backend_options={"n_workers": 2},
         ) as ga:
             result = ga.run()

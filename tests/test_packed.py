@@ -401,16 +401,17 @@ class TestPackedScan:
         byte_report = self._scan(scan_study)
         packed_serial = self._scan(scan_study, packed=True)
         packed_shm = self._scan(
-            scan_study, packed=True, backend="process-shm", n_workers=2
+            scan_study, packed=True, backend="process", n_workers=2
         )
-        packed_async = self._scan(
-            scan_study, packed=True, backend="async", n_workers=2
+        packed_small_chunks = self._scan(
+            scan_study, packed=True, backend="process", n_workers=2,
+            chunk_size=1, jobs=2,
         )
         assert (
             _scan_key(byte_report)
             == _scan_key(packed_serial)
             == _scan_key(packed_shm)
-            == _scan_key(packed_async)
+            == _scan_key(packed_small_chunks)
         )
         assert byte_report.stats.counters() == packed_serial.stats.counters()
 

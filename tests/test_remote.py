@@ -216,7 +216,7 @@ class TestRemoteBackend:
                 "remote", _linear_fitness, hosts=[worker_host.host]
             )
 
-    @pytest.mark.parametrize("backend", ["serial", "threads", "process", "async"])
+    @pytest.mark.parametrize("backend", ["serial", "process"])
     def test_local_backends_reject_hosts(self, backend):
         dataset = lille51().dataset
         with pytest.raises(TypeError, match="hosts|remote"):

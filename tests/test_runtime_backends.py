@@ -1,16 +1,26 @@
 """Tests of the execution-backend registry and cross-backend parity."""
 
+from multiprocessing import shared_memory
+
 import pytest
 
+from repro.core.config import GAConfig
+from repro.genetics.simulate import lille_like_study
 from repro.parallel.master_slave import MasterSlaveEvaluator
 from repro.parallel.serial import SerialEvaluator
+from repro.runtime import backends
 from repro.runtime.backends import (
     backend_names,
     create_evaluator,
     register_backend,
     resolve_backend,
 )
+from repro.runtime.service import RunRequest, RunScheduler
 from repro.runtime.spec import EvaluatorSpec
+from repro.stats.evaluation import HaplotypeEvaluator
+
+#: every registered backend that runs without worker hosts
+LOCAL_BACKENDS = [name for name in backend_names() if name != "remote"]
 
 
 def _generation_batches():
@@ -24,7 +34,18 @@ def _generation_batches():
 
 class TestRegistry:
     def test_all_four_backends_registered(self):
-        assert set(backend_names()) >= {"serial", "threads", "process", "process-shm"}
+        # three behaviours, and process-shm as a second name for the farm
+        assert set(backend_names()) >= {"serial", "process", "process-shm", "remote"}
+        assert resolve_backend("process-shm") is resolve_backend("process")
+
+    @pytest.mark.parametrize("name", ['threads', 'async'])
+    def test_deleted_backends_are_unknown(self, name):
+        with pytest.raises(KeyError, match="available: .*process.*serial"):
+            create_evaluator(name, _product_fitness)
+
+    def test_run_request_carries_no_execution_settings(self):
+        with pytest.raises(TypeError):
+            RunRequest(backend="process")
 
     def test_unknown_backend_lists_alternatives(self):
         with pytest.raises(KeyError, match="serial"):
@@ -43,10 +64,6 @@ class TestRegistry:
         with pytest.raises(TypeError):
             create_evaluator("serial", EvaluatorSpec())
 
-    def test_process_shm_rejects_bare_callable(self):
-        with pytest.raises(TypeError, match="process-shm"):
-            create_evaluator("process-shm", lambda snps: 0.0)
-
     def test_invalid_source_type(self):
         with pytest.raises(TypeError):
             create_evaluator("serial", 42)
@@ -63,17 +80,22 @@ class TestBackendParity:
         values = (evaluator.evaluate_batch(first), evaluator.evaluate_batch(second))
         return values, evaluator.stats.counters()
 
-    @pytest.mark.parametrize("backend", ["threads", "process", "process-shm"])
+    @pytest.mark.parametrize("backend", LOCAL_BACKENDS)
     def test_matches_serial(self, backend, small_evaluator, reference):
         (first_ref, second_ref), counters_ref = reference
         first, second = _generation_batches()
-        evaluator = create_evaluator(backend, small_evaluator, n_workers=2)
-        try:
-            assert evaluator.evaluate_batch(first) == pytest.approx(first_ref, rel=1e-12)
-            assert evaluator.evaluate_batch(second) == pytest.approx(second_ref, rel=1e-12)
-            assert evaluator.stats.counters() == counters_ref
-        finally:
-            evaluator.close()
+        # a spec plus a dataset, and a live evaluator, on every local backend
+        for source, dataset in (
+            (EvaluatorSpec(), small_evaluator.dataset),
+            (small_evaluator, None),
+        ):
+            evaluator = create_evaluator(backend, source, dataset=dataset, n_workers=2)
+            try:
+                assert evaluator.evaluate_batch(first) == pytest.approx(first_ref, rel=1e-12)
+                assert evaluator.evaluate_batch(second) == pytest.approx(second_ref, rel=1e-12)
+                assert evaluator.stats.counters() == counters_ref
+            finally:
+                evaluator.close()
 
     def test_chunked_stats_merge_to_serial(self, small_evaluator):
         """Per-chunk worker stats must merge exactly to the serial path's."""
@@ -96,12 +118,72 @@ class TestBackendParity:
         batch = [(0, 1), (2,), (0, 1), (3, 4)]
         serial = SerialEvaluator(_product_fitness)
         expected = serial.evaluate_batch(batch)
-        evaluator = create_evaluator("process", _product_fitness, n_workers=2)
+        # both names of the farm ship a bare picklable callable to the slaves
+        for backend in ("process", "process-shm"):
+            evaluator = create_evaluator(backend, _product_fitness, n_workers=2)
+            try:
+                assert isinstance(evaluator, MasterSlaveEvaluator)
+                assert evaluator.evaluate_batch(batch) == pytest.approx(expected)
+            finally:
+                evaluator.close()
+
+    def test_process_attaches_slaves_to_one_shared_store(
+        self, small_dataset, monkeypatch
+    ):
+        stores = []
+
+        class RecordingStore(backends.SharedGenotypeStore):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                stores.append(self)
+
+        monkeypatch.setattr(backends, "SharedGenotypeStore", RecordingStore)
+        batch = [(0, 1), (2, 5), (1, 3, 9)]
+        expected = SerialEvaluator(HaplotypeEvaluator(small_dataset)).evaluate_batch(batch)
+        evaluator = create_evaluator(
+            "process", EvaluatorSpec(), dataset=small_dataset, n_workers=2
+        )
         try:
-            assert isinstance(evaluator, MasterSlaveEvaluator)
-            assert evaluator.evaluate_batch(batch) == pytest.approx(expected)
+            assert len(stores) == 1
+            assert evaluator.evaluate_batch(batch) == expected
         finally:
             evaluator.close()
+        assert len(stores) == 1
+        with pytest.raises(FileNotFoundError):
+            shared_memory.SharedMemory(name=stores[0].name)
+
+    @pytest.mark.parametrize("backend", ["serial", "process"])
+    def test_live_evaluator_over_another_dataset(self, backend):
+        """Every backend evaluates the ``dataset`` it is given, even when the
+        live source evaluator was built over a different panel."""
+        full = lille_like_study(seed=3, n_snps=20).dataset
+        view = full.window(5, 15)
+        live = HaplotypeEvaluator(full)
+        batch = [(0, 1), (2, 5, 7), (3, 4)]
+        expected = HaplotypeEvaluator(view).evaluate_many(batch)
+        evaluator = create_evaluator(backend, live, dataset=view, n_workers=2)
+        try:
+            assert evaluator.evaluate_batch(batch) == expected
+        finally:
+            evaluator.close()
+
+    def test_live_source_schedulers_agree_across_backends(self):
+        full = lille_like_study(seed=3, n_snps=20).dataset
+        view = full.window(5, 15)
+        live = HaplotypeEvaluator(full)
+        config = GAConfig(
+            population_size=10, max_haplotype_size=3,
+            termination_stagnation=2, max_generations=3,
+        )
+        best = {}
+        for backend in ("serial", "process"):
+            with RunScheduler(view, source=live, backend=backend, n_workers=2) as scheduler:
+                result = scheduler.run(RunRequest(config=config, seed=1))
+            best[backend] = {
+                size: (individual.snps, individual.fitness_value())
+                for size, individual in result.best_per_size().items()
+            }
+        assert best["serial"] == best["process"]
 
 
 def _product_fitness(snps):

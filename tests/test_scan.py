@@ -224,7 +224,7 @@ class TestScanRunner:
 
     def test_scan_matches_per_window_ga_on_views(self, small_dataset, scan_config):
         """A window's scan result equals a standalone GA on the window view."""
-        from repro.runtime.service import RunRequest, RunService
+        from repro.runtime.service import RunRequest, RunScheduler
 
         report = run_scan(
             small_dataset, window_size=6, overlap=3, config=scan_config, seed=11
@@ -234,12 +234,13 @@ class TestScanRunner:
             small_dataset.n_snps, window_size=6, overlap=3,
             config=scan_config, seed=11,
         )
-        standalone = RunService(small_dataset.window(window.start, window.stop)).run(
-            RunRequest(
-                config=plan.window_config(window),
-                seed=window_seed(11, window.index),
+        with RunScheduler(small_dataset.window(window.start, window.stop)) as scheduler:
+            standalone = scheduler.run(
+                RunRequest(
+                    config=plan.window_config(window),
+                    seed=window_seed(11, window.index),
+                )
             )
-        )
         expected = {
             size: (window.to_global(ind.snps), ind.fitness_value())
             for size, ind in standalone.best_per_size().items()
@@ -405,21 +406,23 @@ class TestChromosomeScaleScan:
         serial = self._scan(dataset, acceptance_config)
         assert serial.n_windows >= 100
         shm = self._scan(
-            dataset, acceptance_config, backend="process-shm", n_workers=2
+            dataset, acceptance_config, backend="process", n_workers=2
         )
-        stealing = self._scan(
-            dataset, acceptance_config, backend="async", n_workers=2
+        # the paper's one-individual-per-message protocol
+        small_chunks = self._scan(
+            dataset, acceptance_config, backend="process", n_workers=2,
+            chunk_size=1,
         )
         threaded_jobs = self._scan(dataset, acceptance_config, jobs=4)
         assert (
             _scan_key(serial)
             == _scan_key(shm)
-            == _scan_key(stealing)
+            == _scan_key(small_chunks)
             == _scan_key(threaded_jobs)
         )
         assert serial.stats.counters() == shm.stats.counters()
-        # the work-stealing farm must preserve exact counter parity too
-        assert serial.stats.counters() == stealing.stats.counters()
+        # per-individual messages must preserve exact counter parity too
+        assert serial.stats.counters() == small_chunks.stats.counters()
 
     def test_bit_identical_on_remote_hosts(self, chromosome_study, acceptance_config):
         from repro.runtime.remote import LocalWorkerHost

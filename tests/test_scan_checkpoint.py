@@ -226,13 +226,13 @@ class TestChromosomeScaleFaultTolerance:
     ):
         dataset = chromosome_study.dataset
         reference = self._scan(
-            dataset, acceptance_config, backend="async", n_workers=2
+            dataset, acceptance_config, backend="process", n_workers=2
         )
         assert reference.n_windows >= 100
         policy = ChaosPolicy(kill_after=40, token_path=str(tmp_path / "token"))
         scheduler = RunScheduler(
             dataset,
-            backend="async",
+            backend="process",
             n_workers=2,
             recovery=FarmRecoveryPolicy(respawn=True),
             worker_wrapper=chaos_wrapper(policy),

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.config import GAConfig
-from repro.runtime.service import RunRequest, RunScheduler, RunService
+from repro.runtime.service import RunRequest, RunScheduler
 from repro.runtime.spec import EvaluatorSpec
 
 
@@ -69,9 +69,12 @@ class TestRunScheduler:
 
     def test_matches_standalone_service(self, small_dataset, quick_config):
         request = RunRequest(config=quick_config, seed=7)
-        standalone = RunService(small_dataset).run(request)
         with RunScheduler(small_dataset) as scheduler:
-            scheduled = scheduler.run(request)
+            standalone = scheduler.run(request)
+        with RunScheduler(small_dataset) as scheduler:
+            # the queued path agrees with the direct one-off run
+            job_id = scheduler.submit(request)
+            scheduled = dict(scheduler.as_completed())[job_id]
         assert _result_key(standalone) == _result_key(scheduled)
         assert standalone.stats.counters() == scheduled.stats.counters()
 
@@ -96,8 +99,8 @@ class TestRunScheduler:
         )
         with RunScheduler(small_dataset) as scheduler:
             windowed = scheduler.run(request)
-        view_service = RunService(small_dataset.window(*window))
-        on_view = view_service.run(RunRequest(config=quick_config, seed=5))
+        with RunScheduler(small_dataset.window(*window)) as scheduler:
+            on_view = scheduler.run(RunRequest(config=quick_config, seed=5))
         assert _result_key(windowed) == _result_key(on_view)
 
     def test_spec_mismatch_rejected(self, small_dataset, quick_config):
@@ -111,9 +114,10 @@ class TestRunScheduler:
 
     def test_spec_comparison_is_normalised(self, small_dataset, quick_config):
         """'T1' vs 't1' (the evaluator lower-cases) must not be a mismatch."""
-        result = RunService(small_dataset).run(
-            RunRequest(config=quick_config, seed=1, statistic="T1")
-        )
+        with RunScheduler(small_dataset, statistic="T1") as scheduler:
+            result = scheduler.run(
+                RunRequest(config=quick_config, seed=1, statistic="T1")
+            )
         assert result.runs
         with RunScheduler(small_dataset, statistic="t1") as scheduler:
             scheduler.submit(RunRequest(config=quick_config, statistic="T1"))

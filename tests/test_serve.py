@@ -6,7 +6,7 @@ caps, bounded queue, cost budget), per-tenant metrics, graceful SIGTERM
 shutdown of the ``serve``/``worker`` daemons, the ``--connect``/``--status``
 CLI paths and — as the acceptance check — a 201-locus scan served through
 the daemon (cache cold and warm) fingerprint-identical to the in-process
-scan on the ``process-shm`` and ``async`` backends.
+scan on the ``process`` backend and its ``process-shm`` alias.
 """
 
 import os
@@ -28,7 +28,8 @@ from repro.genetics.simulate import (
     PopulationModel,
     simulate_case_control_study,
 )
-from repro.runtime.client import ScanClient, ServiceError
+from repro.runtime import client as client_module
+from repro.runtime.client import RetryPolicy, ScanClient, ServiceError
 from repro.runtime.remote import InsecureBindError, default_authkey
 from repro.runtime.server import (
     AdmissionController,
@@ -38,7 +39,8 @@ from repro.runtime.server import (
     WindowResultCache,
     config_digest,
 )
-from repro.runtime.service import RunRequest, RunService
+from repro.runtime.service import RunRequest, RunScheduler
+from repro.runtime.spec import PROTOCOL_VERSION, ClientHello
 from repro.scan import run_scan
 
 WINDOW_SIZE = 6
@@ -309,7 +311,8 @@ class TestScanService:
 
     def test_run_envelope_matches_the_in_process_run(self, small_dataset):
         request = RunRequest(config=SCAN_CONFIG, seed=5)
-        reference = RunService(small_dataset).run(request)
+        with RunScheduler(small_dataset) as scheduler:
+            reference = scheduler.run(request)
         with _serve(small_dataset) as server:
             with ScanClient(server.address, client_id="runner") as client:
                 served = client.run(request)
@@ -362,6 +365,69 @@ class TestScanService:
                 conn.close()
         assert kind == "error"
         assert "ClientHello" in message
+
+
+class TestProtocolVersion:
+    """The daemon refuses a hello from another wire-protocol version."""
+
+    @staticmethod
+    def _raw_hello(server, hello):
+        conn = Client(tuple(server.address), authkey=default_authkey())
+        try:
+            conn.send(hello)
+            return conn.recv()
+        finally:
+            conn.close()
+
+    def test_other_version_is_refused(self, small_dataset):
+        other = PROTOCOL_VERSION + 1
+        with _serve(small_dataset) as server:
+            kind, message = self._raw_hello(
+                server, ClientHello(client_id="skewed", protocol_version=other)
+            )
+            tenants = server.status()["tenants"]
+        assert kind == "error"
+        assert str(other) in message and str(PROTOCOL_VERSION) in message
+        assert "skewed" not in tenants
+
+    def test_hello_without_a_version_is_refused(self, small_dataset):
+        # what an older client's pickled hello unpickles to: no such field
+        hello = object.__new__(ClientHello)
+        object.__setattr__(hello, "client_id", "unversioned")
+        with _serve(small_dataset) as server:
+            kind, message = self._raw_hello(server, hello)
+            tenants = server.status()["tenants"]
+        assert kind == "error"
+        assert "None" in message and str(PROTOCOL_VERSION) in message
+        assert "unversioned" not in tenants
+
+    def test_client_raises_without_retrying(self, small_dataset, monkeypatch):
+        connections = []
+
+        def count(conn):
+            connections.append(conn)
+            return conn
+
+        retry = RetryPolicy(max_attempts=3, backoff_seconds=0.0)
+        with _serve(small_dataset) as server:
+            current = ScanClient(server.address, retry=retry, wrap_connection=count)
+            monkeypatch.setattr(client_module, "PROTOCOL_VERSION", PROTOCOL_VERSION + 1)
+            with pytest.raises(ServiceError, match="protocol version"):
+                ScanClient(server.address, retry=retry, wrap_connection=count)
+            assert len(connections) == 2
+            # a reconnect under the retry policy is refused once, not retried
+            with current:
+                current._drop_connection()
+                with pytest.raises(ServiceError, match="protocol version"):
+                    current.status()
+                assert current.n_retries == 0
+            assert len(connections) == 3
+
+    def test_current_client_connects(self, small_dataset):
+        with _serve(small_dataset) as server:
+            with ScanClient(server.address, client_id="current") as client:
+                status = client.status()
+        assert "current" in status["tenants"]
 
 
 class TestInsecureBind:
@@ -495,7 +561,7 @@ class TestServedChromosomeScan:
             point_mutation_trials=1,
         )
 
-    @pytest.mark.parametrize("backend", ["process-shm", "async"])
+    @pytest.mark.parametrize("backend", ["process", "process-shm"])
     def test_served_scan_is_bit_identical_cold_and_warm(
         self, chromosome_study, acceptance_config, backend
     ):

@@ -54,7 +54,7 @@ from repro.runtime.server import (
     AdmissionPolicy,
     ScanServer,
 )
-from repro.runtime.spec import ClientHello, ScanEnvelope
+from repro.runtime.spec import PROTOCOL_VERSION, ClientHello, ScanEnvelope
 from repro.scan import run_scan
 from repro.scan.report import ScanReport
 from repro.testing.faults import ChaosConnection, ConnectionChaos
@@ -391,7 +391,9 @@ class TestAdmissionCancellation:
             hog = server.admission.admit("hog", 1.0)
             ghost = Client(tuple(server.address), authkey=default_authkey())
             try:
-                ghost.send(ClientHello(client_id="ghost"))
+                ghost.send(
+                    ClientHello(client_id="ghost", protocol_version=PROTOCOL_VERSION)
+                )
                 kind, _payload = ghost.recv()
                 assert kind == "ok"
                 ghost.send(ScanEnvelope(window_size=WINDOW_SIZE,
@@ -426,19 +428,36 @@ class TestAdmissionCancellation:
 # --------------------------------------------------------------------------- #
 class TestServerJournalRecovery:
     def test_restarted_server_replays_journaled_windows(
-        self, small_dataset, tmp_path
+        self, small_dataset, tmp_path, monkeypatch
     ):
         journal_dir = tmp_path / "journal"
         reference = run_scan(small_dataset, window_size=WINDOW_SIZE,
                              overlap=OVERLAP, config=SCAN_CONFIG, seed=11)
+        links = []
+
+        def sever_mid_scan(conn):
+            # hello=1, two windows stream, then the link tears
+            links.append(conn)
+            return ChaosConnection(conn, ConnectionChaos(sever_on_recv=4))
+
         with _serve(small_dataset, journal_dir=str(journal_dir)) as first:
+            # hold the third window until the client has hung up: the scan
+            # is interrupted, never raced to completion before the tear
+            run = first.scheduler.run
+            n_runs = []
+
+            def held_run(request):
+                n_runs.append(request)
+                if len(n_runs) > 2:
+                    _wait_until(lambda: links[0].closed)
+                return run(request)
+
+            monkeypatch.setattr(first.scheduler, "run", held_run)
             with pytest.raises(ConnectionLostError):
                 with ScanClient(
                     first.address,
                     retry=None,
-                    wrap_connection=_chaos_first(
-                        ConnectionChaos(sever_on_recv=4)
-                    ),
+                    wrap_connection=sever_mid_scan,
                 ) as client:
                     client.scan(window_size=WINDOW_SIZE, overlap=OVERLAP,
                                 config=SCAN_CONFIG, seed=11)

@@ -21,7 +21,6 @@ from repro.parallel.farm import cost_balanced_chunks
 from repro.parallel.master_slave import MasterSlaveEvaluator
 from repro.parallel.pvm import EvaluationCostModel
 from repro.parallel.serial import SerialEvaluator
-from repro.parallel.threads import ThreadPoolEvaluator
 from repro.runtime.service import backend_summary_line
 from repro.stats.ehdiall import ehdiall_batch, ehdiall_from_expansion
 from repro.stats.em import expand_phases
@@ -254,19 +253,6 @@ class TestBatchedRouting:
         assert values == [1.0, 5.0]
         assert stacked_calls == stacked_problems == 0
         assert len(calls) == 2
-
-    def test_threads_backend_parity_and_counters(self, small_dataset, batch):
-        reference = SerialEvaluator(HaplotypeEvaluator(small_dataset)).evaluate_batch(batch)
-        pool = ThreadPoolEvaluator(
-            evaluator_factory=lambda: HaplotypeEvaluator(small_dataset),
-            n_workers=2,
-        )
-        try:
-            assert pool.evaluate_batch(batch) == reference
-            assert pool.stats.n_stacked_em >= 1
-            assert pool.stats.n_stacked_problems >= 2
-        finally:
-            pool.close()
 
     def test_farm_backend_parity_and_counters(self, small_dataset, batch):
         serial = SerialEvaluator(HaplotypeEvaluator(small_dataset))
