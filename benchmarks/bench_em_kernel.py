@@ -14,8 +14,9 @@ trajectory to ``BENCH_em_kernel.json`` so regressions are diffable
   :class:`~repro.stats.em.PhaseExpansionCache` warm (the steady state of a GA
   run, where haplotypes are revisited constantly) pays only the EM itself;
 * ``warm_rerun`` — re-running the EM seeded from its own final frequencies
-  (the ``warm_start="full"`` re-evaluation path), which converges in a couple
-  of iterations.
+  through the kernel's ``initial_frequencies`` argument, which converges in
+  a couple of iterations.  This times the kernel API only: the evaluator
+  always starts the EM from the uniform distribution.
 
 The headline number is the minimum ``em_path_warm`` speedup at >= 6 loci:
 the steady-state cost of the evaluation kernel inside a GA run, where the

@@ -516,7 +516,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _cmd_scan(args: argparse.Namespace) -> int:
     from .core.config import GAConfig
     from .parallel.farm import FarmRecoveryPolicy
-    from .scan import run_scan
+    from .scan import CheckpointMismatchError, run_scan
 
     if args.connect is not None:
         # served scans run on the daemon's panel and substrate: every local
@@ -597,27 +597,32 @@ def _cmd_scan(args: argparse.Namespace) -> int:
         termination_stagnation=args.stagnation,
         max_generations=args.max_generations,
     )
-    report = run_scan(
-        dataset,
-        window_size=args.window_size,
-        overlap=args.window_overlap,
-        config=config,
-        seed=args.seed,
-        statistic=args.statistic,
-        backend=args.backend,
-        n_workers=args.workers,
-        chunk_size=args.chunk_size,
-        jobs=args.jobs,
-        # 0 is the unlimited sentinel; negatives fall through to
-        # execute_plan's validation and fail loudly
-        max_pending=args.max_pending if args.max_pending != 0 else None,
-        cost_model=cost_model,
-        recovery=FarmRecoveryPolicy(respawn=True) if args.self_heal else None,
-        checkpoint_path=args.checkpoint,
-        resume=args.resume,
-        packed=packed,
-        hosts=tuple(args.hosts) if args.hosts else None,
-    )
+    try:
+        report = run_scan(
+            dataset,
+            window_size=args.window_size,
+            overlap=args.window_overlap,
+            config=config,
+            seed=args.seed,
+            statistic=args.statistic,
+            backend=args.backend,
+            n_workers=args.workers,
+            chunk_size=args.chunk_size,
+            jobs=args.jobs,
+            # 0 is the unlimited sentinel; negatives fall through to
+            # execute_plan's validation and fail loudly
+            max_pending=args.max_pending if args.max_pending != 0 else None,
+            cost_model=cost_model,
+            recovery=FarmRecoveryPolicy(respawn=True) if args.self_heal else None,
+            checkpoint_path=args.checkpoint,
+            resume=args.resume,
+            packed=packed,
+            hosts=tuple(args.hosts) if args.hosts else None,
+        )
+    except CheckpointMismatchError as exc:
+        # resuming another scan's journal is a usage error, not a crash
+        print(f"scan --resume: {exc}", file=sys.stderr)
+        return 2
     print(report.format(top=args.top))
     print()
     print(report.summary_line())

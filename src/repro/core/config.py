@@ -78,17 +78,6 @@ class GAConfig:
         Enable crossover between parents of different sizes.
     use_random_immigrants:
         Enable the random-immigrant diversity mechanism.
-    overlap_generations:
-        Steady-state evaluation pipelining: with ``k > 0`` the engine plans
-        (and submits for evaluation) up to ``k`` generations ahead while
-        earlier generations' stragglers finish, overlapping GA bookkeeping
-        with in-flight evaluation.  ``0`` (the default) is the paper's
-        synchronous generation barrier and the determinism reference: the
-        run is bit-identical to previous releases.  Any fixed ``k`` is still
-        deterministic for a given seed, but lookahead plans from a
-        population that lacks the in-flight offspring, so trajectories
-        differ *between* ``k`` values (and the run may overshoot its
-        termination point by up to ``k`` generations).
     seed:
         Seed of the GA's random generator.
     """
@@ -115,7 +104,6 @@ class GAConfig:
     use_size_mutations: bool = True
     use_inter_population_crossover: bool = True
     use_random_immigrants: bool = True
-    overlap_generations: int = 0
 
     seed: int = 0
 
@@ -155,8 +143,6 @@ class GAConfig:
             raise ValueError("max_evaluations must be positive")
         if self.random_immigrant_stagnation < 1:
             raise ValueError("random_immigrant_stagnation must be positive")
-        if self.overlap_generations < 0:
-            raise ValueError("overlap_generations must be non-negative")
         if self.allocation not in ("log_proportional", "proportional", "uniform"):
             raise ValueError(f"unknown allocation strategy {self.allocation!r}")
 

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -174,12 +174,6 @@ class AdaptiveMultiPopulationGA:
         )
 
         self._n_evaluations = 0
-        # evaluation batches normally go straight to the evaluator; the
-        # steady-state mode re-routes them through its single pipeline thread
-        # so immigrant/lookahead batches cannot race on the evaluator
-        self._batch_runner: Callable[[list[SnpTuple]], list[float]] = (
-            self.evaluator.evaluate_batch
-        )
         self.population: MultiPopulation | None = None
 
     # ------------------------------------------------------------------ #
@@ -204,7 +198,7 @@ class AdaptiveMultiPopulationGA:
     def _evaluate_batch(self, batch: Sequence[SnpTuple]) -> list[float]:
         if not batch:
             return []
-        fitnesses = self._batch_runner(list(batch))
+        fitnesses = self.evaluator.evaluate_batch(list(batch))
         self._n_evaluations += len(batch)
         return fitnesses
 
@@ -362,26 +356,19 @@ class AdaptiveMultiPopulationGA:
                 plans.append(plan)
         return plans
 
-    @staticmethod
-    def _plans_batch(plans: list[_ChildPlan]) -> list[SnpTuple]:
-        """The evaluation batch of one planned generation, in plan order."""
+    def _evaluate_plans(self, plans: list[_ChildPlan]) -> None:
+        """Evaluate one planned generation as a single batch, in plan order."""
         batch: list[SnpTuple] = []
         for plan in plans:
             batch.append(plan.base_snps)
             batch.extend(plan.variant_snps)
-        return batch
-
-    @staticmethod
-    def _assign_fitnesses(plans: list[_ChildPlan], fitnesses: list[float]) -> None:
+        fitnesses = self._evaluate_batch(batch)
         cursor = 0
         for plan in plans:
             plan.base_fitness = fitnesses[cursor]
             cursor += 1
             plan.variant_fitnesses = fitnesses[cursor: cursor + len(plan.variant_snps)]
             cursor += len(plan.variant_snps)
-
-    def _evaluate_plans(self, plans: list[_ChildPlan]) -> None:
-        self._assign_fitnesses(plans, self._evaluate_batch(self._plans_batch(plans)))
 
     def _normalized(self, population: MultiPopulation, snps: SnpTuple, fitness: float) -> float:
         subpopulation = population.subpopulation(len(snps)) if len(snps) in population.sizes else None
@@ -518,127 +505,6 @@ class AdaptiveMultiPopulationGA:
         )
         return stagnation
 
-    def _run_barrier(
-        self,
-        *,
-        population: MultiPopulation,
-        rng: np.random.Generator,
-        best_fitness_per_size: dict[int, float],
-        evaluations_to_best: dict[int, int],
-        history: RunHistory,
-    ) -> tuple[int, str]:
-        """The paper's synchronous loop: one generation fully evaluated at a time."""
-        stagnation = 0
-        generation = 0
-        while True:
-            state = TerminationState(
-                generation=generation,
-                stagnation=stagnation,
-                n_evaluations=self._n_evaluations,
-                best_fitness=max(best_fitness_per_size.values(), default=None),
-            )
-            reason = self.termination.reason_to_stop(state)
-            if reason is not None:
-                return generation, reason
-
-            generation += 1
-            plans = self._plan_generation(population, rng)
-            self._evaluate_plans(plans)
-            stagnation = self._finish_generation(
-                generation=generation,
-                plans=plans,
-                population=population,
-                rng=rng,
-                best_fitness_per_size=best_fitness_per_size,
-                evaluations_to_best=evaluations_to_best,
-                stagnation=stagnation,
-                history=history,
-            )
-
-    def _run_steady_state(
-        self,
-        *,
-        population: MultiPopulation,
-        rng: np.random.Generator,
-        best_fitness_per_size: dict[int, float],
-        evaluations_to_best: dict[int, int],
-        history: RunHistory,
-    ) -> tuple[int, str]:
-        """Pipelined loop: up to ``overlap_generations`` generations in flight.
-
-        Planning reads the population as currently integrated (the in-flight
-        offspring are not in it yet — the essence of steady state) and queues
-        the batch on a single background thread; integration happens in
-        generation order as results land.  All evaluator traffic goes through
-        that one thread, so the substrate sees exactly one batch at a time —
-        the streamed completions of the work-stealing farm fill the batch from
-        many slaves concurrently underneath.
-        """
-        from collections import deque
-        from concurrent.futures import Future, ThreadPoolExecutor
-
-        overlap = self.config.overlap_generations
-        stagnation = 0
-        generation = 0
-        planned = 0
-        termination_reason: str | None = None
-        in_flight: deque[tuple[int, list[_ChildPlan], Future | None, int]] = deque()
-        with ThreadPoolExecutor(
-            max_workers=1, thread_name_prefix="ga-pipeline"
-        ) as pool:
-            self._batch_runner = lambda batch: pool.submit(
-                self.evaluator.evaluate_batch, batch
-            ).result()
-            try:
-                while True:
-                    # top up the pipeline while the (trailing, up to `overlap`
-                    # generations old) termination state allows
-                    while termination_reason is None and len(in_flight) <= overlap:
-                        state = TerminationState(
-                            generation=planned,
-                            stagnation=stagnation,
-                            n_evaluations=self._n_evaluations,
-                            best_fitness=max(
-                                best_fitness_per_size.values(), default=None
-                            ),
-                        )
-                        termination_reason = self.termination.reason_to_stop(state)
-                        if termination_reason is not None:
-                            break
-                        planned += 1
-                        plans = self._plan_generation(population, rng)
-                        batch = self._plans_batch(plans)
-                        future: Future | None = None
-                        if batch:
-                            future = pool.submit(
-                                self.evaluator.evaluate_batch, list(batch)
-                            )
-                        in_flight.append((planned, plans, future, len(batch)))
-                    if not in_flight:
-                        assert termination_reason is not None
-                        return generation, termination_reason
-                    generation, plans, future, batch_size = in_flight.popleft()
-                    self._assign_fitnesses(
-                        plans, future.result() if future is not None else []
-                    )
-                    # count at integration time, exactly like the barrier
-                    # loop: generation g's history record and the
-                    # evaluations-to-best metric must not include the
-                    # lookahead generations' in-flight batches
-                    self._n_evaluations += batch_size
-                    stagnation = self._finish_generation(
-                        generation=generation,
-                        plans=plans,
-                        population=population,
-                        rng=rng,
-                        best_fitness_per_size=best_fitness_per_size,
-                        evaluations_to_best=evaluations_to_best,
-                        stagnation=stagnation,
-                        history=history,
-                    )
-            finally:
-                self._batch_runner = self.evaluator.evaluate_batch
-
     def run(self, *, reset: bool = True) -> GAResult:
         """Execute the GA and return its :class:`~repro.core.history.GAResult`.
 
@@ -651,13 +517,8 @@ class AdaptiveMultiPopulationGA:
             after injecting migrants in the island model), the run continues
             from it.
 
-        With ``config.overlap_generations == 0`` each generation is evaluated
-        behind the paper's synchronous barrier.  With ``k > 0`` the engine
-        runs steady-state: up to ``k`` generations are planned from the
-        current population and their batches queued on a single pipeline
-        thread, so selection/variation/replacement bookkeeping overlaps the
-        evaluation of earlier generations' stragglers (see
-        :class:`~repro.core.config.GAConfig` for the determinism contract).
+        Each generation is planned, evaluated as one batch behind the
+        paper's synchronous barrier and integrated before the next starts.
         """
         start_time = time.perf_counter()
         rng = np.random.default_rng(self.config.seed + (0 if reset else self._n_evaluations))
@@ -677,17 +538,32 @@ class AdaptiveMultiPopulationGA:
         }
         evaluations_to_best = {size: self._n_evaluations for size in best_fitness_per_size}
 
-        state = dict(
-            population=population,
-            rng=rng,
-            best_fitness_per_size=best_fitness_per_size,
-            evaluations_to_best=evaluations_to_best,
-            history=history,
-        )
-        if self.config.overlap_generations > 0:
-            generation, termination_reason = self._run_steady_state(**state)
-        else:
-            generation, termination_reason = self._run_barrier(**state)
+        stagnation = 0
+        generation = 0
+        while True:
+            state = TerminationState(
+                generation=generation,
+                stagnation=stagnation,
+                n_evaluations=self._n_evaluations,
+                best_fitness=max(best_fitness_per_size.values(), default=None),
+            )
+            termination_reason = self.termination.reason_to_stop(state)
+            if termination_reason is not None:
+                break
+
+            generation += 1
+            plans = self._plan_generation(population, rng)
+            self._evaluate_plans(plans)
+            stagnation = self._finish_generation(
+                generation=generation,
+                plans=plans,
+                population=population,
+                rng=rng,
+                best_fitness_per_size=best_fitness_per_size,
+                evaluations_to_best=evaluations_to_best,
+                stagnation=stagnation,
+                history=history,
+            )
 
         best_per_size = population.best_per_size()
         return GAResult(

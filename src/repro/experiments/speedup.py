@@ -166,12 +166,12 @@ def run_measured_speedup(
     if n_repeats < 1:
         raise ValueError("n_repeats must be positive")
     study = study or lille51(seed)
-    # reuse caches and warm starts would let the repeated timing batches hit
-    # memoised results, turning the measurement into a cache benchmark; the
-    # speedup study times raw evaluation cost, so every cache layer — the
+    # reuse caches would let the repeated timing batches hit memoised
+    # results, turning the measurement into a cache benchmark; the speedup
+    # study times raw evaluation cost, so every cache layer — the
     # evaluator's, the master-side batch fast path's and the chunked farm's
     # worker-local LRUs — is disabled here
-    spec = EvaluatorSpec(cache_size=0, warm_start=False)
+    spec = EvaluatorSpec(cache_size=0)
     batch = list(batch) if batch is not None else generation_batch(
         n_snps=study.dataset.n_snps, seed=seed
     )

@@ -76,7 +76,7 @@ def validate_chunk_size(chunk_size: "int | None") -> None:
         )
 
 
-def default_mp_context(start_method: "str | None" = None):
+def default_mp_context():
     """The multiprocessing context every process backend starts workers from.
 
     ``fork`` (when available) avoids re-importing the scientific stack in
@@ -84,8 +84,6 @@ def default_mp_context(start_method: "str | None" = None):
     """
     from multiprocessing import get_context
 
-    if start_method is not None:
-        return get_context(start_method)
     try:
         return get_context("fork")
     except ValueError:  # pragma: no cover - non-POSIX platforms

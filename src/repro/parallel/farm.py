@@ -348,8 +348,6 @@ class ChunkedWorkerFarm:
     worker_cache_size:
         Bound of each slave's local fitness LRU (``0`` disables slave-side
         result reuse, e.g. for timing studies).
-    start_method:
-        ``multiprocessing`` start method (default: ``fork`` where available).
     steal:
         Enable work stealing: each slave holds at most ``max_inflight``
         chunks; an idle slave is refilled from the longest other affinity
@@ -384,7 +382,6 @@ class ChunkedWorkerFarm:
         *,
         chunk_size: int | None = None,
         worker_cache_size: int | None = 4096,
-        start_method: str | None = None,
         steal: bool = False,
         max_inflight: int = 2,
         cost_model: EvaluationCostModel | None = None,
@@ -398,7 +395,7 @@ class ChunkedWorkerFarm:
             raise ValueError(f"max_inflight must be a positive integer, got {max_inflight!r}")
         if recovery is not None and not isinstance(recovery, FarmRecoveryPolicy):
             raise TypeError(f"recovery must be a FarmRecoveryPolicy or None, got {recovery!r}")
-        self._context = default_mp_context(start_method)
+        self._context = default_mp_context()
         self._factory = factory
         self._worker_cache_size = worker_cache_size
         self._recovery = recovery

@@ -110,10 +110,6 @@ class MasterSlaveEvaluator(BaseBatchEvaluator):
         picklable together with its result.  Exists for the fault-injection
         harness (:mod:`repro.testing.faults`), which wraps slave fitness
         functions with a chaos policy.
-    start_method:
-        ``multiprocessing`` start method; the default ``"fork"`` (when
-        available) avoids re-importing the scientific stack in every worker,
-        ``"spawn"`` is used automatically on platforms without ``fork``.
     dedup, cache_size:
         Batch fast-path controls inherited from
         :class:`~repro.parallel.base.BaseBatchEvaluator`: duplicates within a
@@ -141,7 +137,6 @@ class MasterSlaveEvaluator(BaseBatchEvaluator):
         cost_model: EvaluationCostModel | None = None,
         recovery: FarmRecoveryPolicy | None = None,
         worker_wrapper=None,
-        start_method: str | None = None,
         hosts: Sequence | None = None,
         dedup: bool = True,
         cache_size: int | None = BaseBatchEvaluator.DEFAULT_CACHE_SIZE,
@@ -176,9 +171,7 @@ class MasterSlaveEvaluator(BaseBatchEvaluator):
 
             self._farm: ChunkedWorkerFarm = RemoteSlavePool(factory, hosts, **farm_kwargs)
         else:
-            self._farm = ChunkedWorkerFarm(
-                factory, self._n_workers, start_method=start_method, **farm_kwargs
-            )
+            self._farm = ChunkedWorkerFarm(factory, self._n_workers, **farm_kwargs)
 
     # ------------------------------------------------------------------ #
     @property

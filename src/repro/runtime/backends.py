@@ -72,7 +72,6 @@ class BackendRequest:
     dedup: bool
     cache_size: int | None
     worker_cache_size: int | None
-    start_method: str | None
     cost_model: EvaluationCostModel | None = None
     recovery: FarmRecoveryPolicy | None = None
     worker_wrapper: Callable | None = None
@@ -133,7 +132,6 @@ def create_evaluator(
     dedup: bool = True,
     cache_size: int | None = BaseBatchEvaluator.DEFAULT_CACHE_SIZE,
     worker_cache_size: int | None = BaseBatchEvaluator.DEFAULT_CACHE_SIZE,
-    start_method: str | None = None,
     cost_model: EvaluationCostModel | None = None,
     recovery: FarmRecoveryPolicy | None = None,
     worker_wrapper: Callable | None = None,
@@ -205,7 +203,6 @@ def create_evaluator(
         dedup=dedup,
         cache_size=cache_size,
         worker_cache_size=worker_cache_size,
-        start_method=start_method,
         cost_model=cost_model,
         recovery=recovery,
         worker_wrapper=worker_wrapper,
@@ -242,7 +239,6 @@ def _farm_kwargs(request: BackendRequest) -> dict:
         n_workers=request.n_workers,
         chunk_size=request.chunk_size,
         worker_cache_size=request.worker_cache_size,
-        start_method=request.start_method,
         dedup=request.dedup,
         cache_size=request.cache_size,
         cost_model=request.cost_model,
@@ -298,7 +294,6 @@ def _remote_backend(request: BackendRequest) -> BatchEvaluator:
         )
     kwargs = _farm_kwargs(request)
     kwargs.pop("n_workers")  # one slave per host entry
-    kwargs.pop("start_method")  # slaves are started by their hosts
     return MasterSlaveEvaluator(
         evaluator_factory=SpecEvaluatorFactory(spec, PackedDatasetHandle(dataset)),
         hosts=request.hosts,

@@ -303,7 +303,6 @@ def serve(
     *,
     authkey: bytes | None = None,
     max_connections: int | None = None,
-    start_method: str | None = None,
     heartbeat_interval: float | None = DEFAULT_HEARTBEAT_INTERVAL,
     _ready=None,
 ) -> None:
@@ -324,7 +323,7 @@ def serve(
     then joined (with an escalation to ``kill`` for stragglers).
     """
     listener = _open_listener(bind, authkey)
-    context = default_mp_context(start_method)
+    context = default_mp_context()
     stop = threading.Event()
     # the handler must close the listener as well as set the flag: a blocked
     # accept() is retried after a signal handler returns (PEP 475), so the
@@ -393,11 +392,10 @@ class LocalWorkerHost:
         *,
         authkey: bytes | None = None,
         max_connections: int | None = None,
-        start_method: str | None = None,
         heartbeat_interval: float | None = DEFAULT_HEARTBEAT_INTERVAL,
         bind: tuple[str, int] | str | None = None,
     ) -> None:
-        context = default_mp_context(start_method)
+        context = default_mp_context()
         ready_recv, ready_send = context.Pipe(duplex=False)
         # not a daemon: the server forks one slave process per connection,
         # and daemonic processes may not have children
@@ -407,7 +405,6 @@ class LocalWorkerHost:
             kwargs={
                 "authkey": authkey,
                 "max_connections": max_connections,
-                "start_method": start_method,
                 "heartbeat_interval": heartbeat_interval,
                 "_ready": ready_send,
             },

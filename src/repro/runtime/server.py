@@ -53,12 +53,16 @@ from dataclasses import dataclass
 from multiprocessing.connection import Listener
 from typing import Sequence
 
-from ..core.config import GAConfig
 from ..genetics.dataset import GenotypeDataset, LocusWindow
-from ..parallel.base import BaseBatchEvaluator, EvaluationStats
+from ..parallel.base import EvaluationStats
 from ..parallel.farm import FarmRecoveryPolicy
 from ..parallel.pvm import EvaluationCostModel
-from ..scan.checkpoint import CheckpointMismatchError, ScanJournal, checkpoint_meta
+from ..scan.checkpoint import (
+    CheckpointMismatchError,
+    ScanJournal,
+    checkpoint_meta,
+    config_digest,
+)
 from ..scan.planner import plan_scan
 from ..scan.report import window_result_from_json, window_result_to_json
 from ..scan.runner import _window_result
@@ -88,25 +92,12 @@ __all__ = [
     "AdmissionRejected",
     "AdmissionCancelled",
     "TenantMetrics",
-    "config_digest",
     "DEFAULT_CACHE_BYTES",
 ]
 
 #: Default bytes budget of the cross-request window-result cache (64 MiB —
 #: a window payload is a few hundred bytes, so this holds ~10^5 windows).
 DEFAULT_CACHE_BYTES = 64 << 20
-
-
-def config_digest(config: GAConfig | None) -> str:
-    """Stable digest of a GA configuration (part of the result-cache key).
-
-    Sorted-key JSON of the dataclass fields, so two configs digest equal
-    exactly when every parameter that shapes the search is equal.
-    """
-    payload = json.dumps(
-        dataclasses.asdict(config or GAConfig()), sort_keys=True, default=str
-    )
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
 
 
 def _stats_dict(stats: EvaluationStats) -> dict:
@@ -478,9 +469,6 @@ class ScanServer:
         backend: str = DEFAULT_BACKEND,
         n_workers: int | None = None,
         chunk_size: int | None = None,
-        dedup: bool = True,
-        cache_size: int | None = BaseBatchEvaluator.DEFAULT_CACHE_SIZE,
-        worker_cache_size: int | None = BaseBatchEvaluator.DEFAULT_CACHE_SIZE,
         cost_model: EvaluationCostModel | None = None,
         recovery: FarmRecoveryPolicy | None = None,
         packed: bool = False,
@@ -496,9 +484,6 @@ class ScanServer:
             backend=backend,
             n_workers=n_workers,
             chunk_size=chunk_size,
-            dedup=dedup,
-            cache_size=cache_size,
-            worker_cache_size=worker_cache_size,
             cost_model=cost_model,
             recovery=recovery,
             packed=packed,
@@ -811,18 +796,15 @@ class ScanServer:
     # ------------------------------------------------------------------ #
     # scan journaling (daemon crash recovery)
     # ------------------------------------------------------------------ #
-    def _scan_journal_meta(self, plan, envelope: ScanEnvelope) -> dict:
+    def _scan_journal_meta(self, plan) -> dict:
         """The scan's identity header — exactly what :class:`ScanJournal`
-        validates on resume, plus the GA-config digest (geometry and seeding
-        alone do not pin the search parameters)."""
-        meta = checkpoint_meta(
+        validates on resume."""
+        return checkpoint_meta(
             plan,
             self._scheduler.dataset.n_snps,
             panel="packed" if self._scheduler.packed else "byte",
             panel_fingerprint=self._panel_fingerprint,
         )
-        meta["config_digest"] = config_digest(envelope.config)
-        return meta
 
     def _journal_path(self, meta: dict) -> str:
         digest = hashlib.sha256(
@@ -841,10 +823,9 @@ class ScanServer:
                 self._journal_locks[path] = lock
             return lock
 
-    def _open_scan_journal(self, plan, envelope: ScanEnvelope):
-        """Open (resuming) this scan's journal; returns
-        ``(journal, restored_payloads_by_index)``."""
-        meta = self._scan_journal_meta(plan, envelope)
+    def _open_scan_journal(self, meta: dict):
+        """Open (resuming) the journal of the scan ``meta`` identifies;
+        returns ``(journal, restored_payloads_by_index)``."""
         path = self._journal_path(meta)
         try:
             journal, completed = ScanJournal.open(path, meta, resume=True)
@@ -900,11 +881,10 @@ class ScanServer:
         try:
             restored: dict[int, dict] = {}
             if self._journal_dir is not None:
-                journal_lock = self._journal_lock(
-                    self._journal_path(self._scan_journal_meta(plan, envelope))
-                )
+                meta = self._scan_journal_meta(plan)
+                journal_lock = self._journal_lock(self._journal_path(meta))
                 journal_lock.acquire()
-                journal, restored = self._open_scan_journal(plan, envelope)
+                journal, restored = self._open_scan_journal(meta)
             stats = EvaluationStats()
             n_cached = 0
             n_recovered = 0

@@ -2,8 +2,8 @@
 
 ``RunRequest`` describes *what* to run: the GA configuration, the number of
 repeated runs, the fitness statistic and optionally a locus window of the
-panel.  *How* it runs (execution backend, worker count, chunking, caching
-policy) is configured once, on the :class:`RunScheduler` that executes it.
+panel.  *How* it runs (execution backend, worker count, chunking, packing,
+hosts) is configured once, on the :class:`RunScheduler` that executes it.
 
 :class:`RunScheduler` is the persistent execution substrate: it builds **one**
 backend evaluator (one worker farm, one shared-memory registration, one
@@ -16,8 +16,10 @@ windowed GA runs multiplex over a single substrate.  Jobs are queued with
 :meth:`~RunScheduler.map` (submission order); :meth:`~RunScheduler.run`
 executes one request directly.  The CLI ``run`` command, the scan, the daemon
 and the Table-2 / ablation / robustness harnesses all hold a scheduler in a
-``with`` block, so backend choice, seeding, caching policy and stats
-reporting live in exactly one place.
+``with`` block, so backend choice, seeding and stats reporting live in
+exactly one place.  The scheduler runs the backends' default dedup and
+caches; tuning them (e.g. switching them off to time raw evaluation cost) is
+for direct :func:`~repro.runtime.backends.create_evaluator` callers.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from ..core.history import GAResult
 from ..core.individual import HaplotypeIndividual
 from ..genetics.constraints import HaplotypeConstraints
 from ..genetics.dataset import GenotypeDataset, as_packed_dataset
-from ..parallel.base import BaseBatchEvaluator, BatchEvaluator, EvaluationStats, SnpSet
+from ..parallel.base import BatchEvaluator, EvaluationStats, SnpSet
 from ..parallel.farm import FarmRecoveryPolicy
 from ..parallel.pvm import EvaluationCostModel
 from ..stats.evaluation import HaplotypeEvaluator
@@ -126,8 +128,7 @@ class RunRequest:
         sub-panel when ``snp_indices`` is given).
 
     The request carries no execution settings: the :class:`RunScheduler`
-    that executes it owns the backend, workers, chunking, caches, packing
-    and hosts.
+    that executes it owns the backend, workers, chunking, packing and hosts.
     """
 
     config: GAConfig | None = None
@@ -251,9 +252,10 @@ class RunScheduler:
     submitted :class:`RunRequest` against it, so N queued runs — e.g. one GA
     job per locus window of a genome-scale scan — pay one farm spin-up and
     share the master-side fitness cache and the slaves' content-affinity
-    caches.  Execution policy (backend, worker count, chunking, caching)
-    lives on the scheduler and nowhere else: a :class:`RunRequest` says only
-    what to run.  A one-off run is a scheduler held in a ``with`` block.
+    caches.  Execution policy (backend, worker count, chunking, packing,
+    hosts) lives on the scheduler and nowhere else: a :class:`RunRequest`
+    says only what to run.  A one-off run is a scheduler held in a ``with``
+    block.
 
     Parameters
     ----------
@@ -266,9 +268,10 @@ class RunScheduler:
         default spec with ``statistic``).
     statistic:
         CLUMP statistic when no ``source`` is given.
-    backend, n_workers, chunk_size, dedup, cache_size, worker_cache_size:
+    backend, n_workers, chunk_size:
         Execution substrate configuration (see
-        :func:`repro.runtime.backends.create_evaluator`).
+        :func:`repro.runtime.backends.create_evaluator`).  The substrate runs
+        with the backends' default dedup and fitness caches.
     jobs:
         Maximum number of requests executed concurrently by
         :meth:`as_completed` / :meth:`map`.  Fitness batches are serialised
@@ -311,9 +314,6 @@ class RunScheduler:
         backend: str = DEFAULT_BACKEND,
         n_workers: int | None = None,
         chunk_size: int | None = None,
-        dedup: bool = True,
-        cache_size: int | None = BaseBatchEvaluator.DEFAULT_CACHE_SIZE,
-        worker_cache_size: int | None = BaseBatchEvaluator.DEFAULT_CACHE_SIZE,
         jobs: int = 1,
         cost_model: EvaluationCostModel | None = None,
         recovery: FarmRecoveryPolicy | None = None,
@@ -361,9 +361,6 @@ class RunScheduler:
             dataset=dataset,
             n_workers=n_workers,
             chunk_size=chunk_size,
-            dedup=dedup,
-            cache_size=cache_size,
-            worker_cache_size=worker_cache_size,
             # the scheduler's (possibly calibrated) cost model also drives
             # the chunked farms' cost-balanced auto chunking
             cost_model=cost_model,

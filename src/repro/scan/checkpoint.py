@@ -3,7 +3,8 @@
 A genome-scale scan is hundreds of independent window jobs whose results are
 pure functions of the per-window seeds, so the natural checkpoint unit is one
 *completed window*: the journal's first line pins the scan's identity
-(geometry + seeding — resuming against the wrong panel or seed must fail
+(geometry, seeding, statistic, panel and a digest of the GA configuration —
+resuming against the wrong panel, seed or search parameters must fail
 loudly, not silently merge incompatible results) and every further line is
 one window's :func:`~repro.scan.report.window_result_to_json` payload,
 written, flushed and fsynced the moment the window finishes.  A scan process
@@ -21,21 +22,38 @@ this discipline and raises :class:`CheckpointMismatchError`.
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
 import json
 import os
 
+from ..core.config import GAConfig
 from .planner import ScanPlan
 from .report import WindowResult, window_result_from_json, window_result_to_json
 
-__all__ = ["ScanJournal", "CheckpointMismatchError", "checkpoint_meta"]
+__all__ = ["ScanJournal", "CheckpointMismatchError", "checkpoint_meta", "config_digest"]
 
 #: bump when the journal layout changes incompatibly
-#: (v2: the header names the panel representation and its content hash)
-JOURNAL_VERSION = 2
+#: (v2: the header names the panel representation and its content hash;
+#: v3: the header pins the GA configuration's digest)
+JOURNAL_VERSION = 3
 
 
 class CheckpointMismatchError(ValueError):
     """The journal does not belong to this scan (or is corrupt mid-file)."""
+
+
+def config_digest(config: GAConfig | None) -> str:
+    """Stable digest of a GA configuration.
+
+    Sorted-key JSON of the dataclass fields, so two configs digest equal
+    exactly when every parameter that shapes the search is equal.  It pins
+    a journal to its configuration and keys the daemon's window-result cache.
+    """
+    payload = json.dumps(
+        dataclasses.asdict(config or GAConfig()), sort_keys=True, default=str
+    )
+    return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
 
 
 def checkpoint_meta(
@@ -46,7 +64,8 @@ def checkpoint_meta(
     panel_fingerprint: str | None = None,
 ) -> dict:
     """The identity header of a scan's journal: resuming requires an exact
-    match on geometry and seeding, since those determine every window result.
+    match on geometry, seeding and the GA configuration
+    (:func:`config_digest`), since those determine every window result.
 
     ``panel`` names the genotype substrate the scan runs on (``"byte"`` or
     ``"packed"``) and ``panel_fingerprint`` (optional) pins the panel's
@@ -64,6 +83,7 @@ def checkpoint_meta(
         "statistic": plan.statistic,
         "seed": plan.base_seed,
         "n_runs": plan.n_runs,
+        "config_digest": config_digest(plan.config),
         "panel": str(panel),
     }
     if panel_fingerprint is not None:
@@ -145,11 +165,14 @@ class ScanJournal:
             return {}
         header, *window_records = records
         expected = self._meta
-        found = {key: header.get(key) for key in expected}
-        if found != expected:
+        differing = [key for key in expected if header.get(key) != expected[key]]
+        if differing:
+            details = "; ".join(
+                f"{key}: journal {header.get(key)!r}, this scan {expected[key]!r}"
+                for key in differing
+            )
             raise CheckpointMismatchError(
-                f"checkpoint {self._path} belongs to a different scan: "
-                f"journal header {found} != this scan {expected}"
+                f"checkpoint {self._path} belongs to a different scan ({details})"
             )
         completed: dict[int, WindowResult] = {}
         for record in window_records:

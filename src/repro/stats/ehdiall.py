@@ -181,9 +181,9 @@ def ehdiall_from_expansion(
     max_iter, tol:
         EM control parameters.
     initial_frequencies:
-        Optional warm start for the H1 EM (e.g. the count-weighted mix of the
-        two group solutions when pooling case and control samples, or the
-        final frequencies of an earlier run of the same haplotype).
+        Optional warm start for the H1 EM (e.g. the final frequencies of an
+        earlier run of the same haplotype); ``None`` starts from the uniform
+        distribution, as every fitness evaluation does.
     """
     em = estimate_from_expansion(
         expansion, initial_frequencies=initial_frequencies, max_iter=max_iter, tol=tol

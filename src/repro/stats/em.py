@@ -49,9 +49,10 @@ number and cost of these EM runs):
   :class:`PhaseExpansionCache` memoises expansions per SNP subset so
   re-evaluating a haplotype never repeats genotype slicing, ``np.unique``,
   or pair enumeration;
-* :func:`estimate_from_expansion` accepts ``initial_frequencies``, enabling
-  warm starts (e.g. seeding the pooled EM from the count-weighted mix of the
-  two group solutions).
+* :func:`estimate_from_expansion` accepts ``initial_frequencies``, a
+  kernel-level warm start (the evaluation pipeline always starts the EM
+  from the uniform distribution, so a fitness never depends on what was
+  evaluated before).
 """
 
 from __future__ import annotations

@@ -19,7 +19,7 @@ worker processes (:mod:`repro.parallel`).
 
 Performance notes
 -----------------
-The evaluator keeps three layers of reuse, all keyed on the sorted SNP tuple
+The evaluator keeps two layers of reuse, both keyed on the sorted SNP tuple
 (the caches are on by default and result-preserving; disable with
 ``cache_size=0`` when timing raw evaluation cost, as the speedup experiments
 do):
@@ -30,20 +30,16 @@ do):
   of the LRT path is built by *concatenating* the two group expansions
   (:func:`~repro.stats.em.concat_expansions`) instead of re-expanding the
   pooled genotype matrix;
-* **EM warm starts** (opt-in) — ``warm_start=True`` seeds the pooled EM from
-  the count-weighted mix of the two group solutions and ``warm_start="full"``
-  additionally seeds re-runs of evicted haplotypes from their remembered
-  final frequencies, converging in a handful of iterations.  Both are *off*
-  by default: a warm-started EM can stall in a different (worse) optimum
-  than the cold uniform start, shifting the LRT statistic by a few percent,
-  so the default preserves the seed pipeline's exact statistical behaviour;
 * **result reuse** — a bounded LRU of finished :class:`EHDiallResult` per
   group makes re-evaluation (elitism, duplicate offspring, the
   affected/unaffected/pooled triple of the LRT) return bit-identical results
   without re-running the EM.
 
-``n_evaluations`` still counts every fitness request, preserving the paper's
-cost metric; ``n_em_runs`` counts how many EM fits were actually performed.
+Every EM starts from the uniform distribution, as in the seed pipeline, so
+a fitness is a pure function of the haplotype: neither the cache contents
+nor the request history can change it.  ``n_evaluations`` still counts every
+fitness request, preserving the paper's cost metric; ``n_em_runs`` counts how
+many EM fits were actually performed.
 """
 
 from __future__ import annotations
@@ -81,11 +77,6 @@ _VALID_STATISTICS = ("t1", "t2", "t3", "t4", "lrt")
 
 #: Group keys of the three EH-DIALL runs an evaluation can need.
 _GROUPS = ("affected", "unaffected", "pooled")
-
-#: Weight of the uniform distribution mixed into warm-start frequencies, so a
-#: state estimated at exactly zero by both groups is not locked out of the
-#: pooled EM (EM updates are multiplicative in the current frequency).
-_WARM_START_UNIFORM_WEIGHT = 1e-3
 
 
 @dataclass(frozen=True)
@@ -137,18 +128,8 @@ class HaplotypeEvaluator:
     cache_size:
         Bound on the per-group expansion and EH-DIALL-result LRU caches
         (``0`` disables them, ``None`` means unbounded).  Default 256.
-    warm_start:
-        ``False`` (default) runs every EM from the uniform start, exactly as
-        the seed pipeline did.  ``True`` seeds the pooled EM of the LRT path
-        from the count-weighted mix of the two group solutions —
-        deterministic (the mix depends only on the SNP set) and much faster,
-        but the EM may then stall in a *different* local optimum, shifting
-        the LRT statistic by a few percent, which is why it is opt-in.
-        ``"full"`` additionally seeds re-runs of haplotypes evicted from the
-        result cache from their remembered final frequencies (kept in an LRU
-        eight times the ``cache_size``); that converges in a handful of
-        iterations but also makes a re-evaluation's result depend on the
-        request history.
+        The caches change only the cost of an evaluation, never its value:
+        every EM starts from the uniform distribution.
 
     Notes
     -----
@@ -166,7 +147,6 @@ class HaplotypeEvaluator:
         em_tol: float = 1e-8,
         clump_min_expected: float = 5.0,
         cache_size: int | None = 256,
-        warm_start: bool | str = False,
     ) -> None:
         statistic = statistic.lower()
         if statistic not in _VALID_STATISTICS:
@@ -175,8 +155,6 @@ class HaplotypeEvaluator:
             raise ValueError("the dataset must contain both affected and unaffected individuals")
         if cache_size is not None and cache_size < 0:
             raise ValueError("cache_size must be non-negative or None")
-        if warm_start not in (True, False, "full"):
-            raise ValueError("warm_start must be True, False or 'full'")
         self._dataset = dataset
         self._affected = dataset.affected()
         self._unaffected = dataset.unaffected()
@@ -185,7 +163,6 @@ class HaplotypeEvaluator:
         self._em_tol = float(em_tol)
         self._clump_min_expected = float(clump_min_expected)
         self._cache_size = cache_size
-        self._warm_start = warm_start
         self._n_evaluations = 0
         self._n_em_runs = 0
         self._n_stacked_em = 0
@@ -217,12 +194,6 @@ class HaplotypeEvaluator:
         self._result_caches: dict[str, LRUCache] | None = (
             {group: LRUCache(size) for group in _GROUPS} if enabled else None
         )
-        warm_size = None if size is None else 8 * size
-        self._warm_caches: dict[str, LRUCache] | None = (
-            {group: LRUCache(warm_size) for group in _GROUPS}
-            if enabled and self._warm_start == "full"
-            else None
-        )
 
     # ------------------------------------------------------------------ #
     @property
@@ -250,10 +221,6 @@ class HaplotypeEvaluator:
     def cache_size(self) -> int | None:
         """Bound of the per-group reuse caches (see the constructor)."""
         return self._cache_size
-
-    @property
-    def warm_start(self) -> bool | str:
-        return self._warm_start
 
     @property
     def n_snps(self) -> int:
@@ -292,7 +259,7 @@ class HaplotypeEvaluator:
         self._n_stacked_problems = 0
 
     def clear_caches(self) -> None:
-        """Drop every internal reuse cache (expansions, results, warm starts)."""
+        """Drop every internal reuse cache (expansions and results)."""
         self._build_caches()
 
     # ------------------------------------------------------------------ #
@@ -307,7 +274,7 @@ class HaplotypeEvaluator:
         return tuple(sorted(snps))
 
     # ------------------------------------------------------------------ #
-    # EH-DIALL plumbing: cached expansions, warm-started EM, cached results
+    # EH-DIALL plumbing: cached expansions, cached results
     # ------------------------------------------------------------------ #
     def _group_expansion(self, group: str, snps: tuple[int, ...]) -> PhaseExpansion:
         if self._expansion_caches is not None:
@@ -319,41 +286,9 @@ class HaplotypeEvaluator:
             return expand_phases_packed(source.packed, np.asarray(snps, dtype=np.intp))
         return expand_phases(source.genotypes_at(np.asarray(snps, dtype=np.intp)))
 
-    def _warm_frequencies(self, group: str, snps: tuple[int, ...]) -> np.ndarray | None:
-        if self._warm_caches is None:
-            return None
-        return self._warm_caches[group].get(snps)
-
     def _remember(self, group: str, snps: tuple[int, ...], result: EHDiallResult) -> None:
         if self._result_caches is not None:
             self._result_caches[group].put(snps, result)
-        if self._warm_caches is not None:
-            self._warm_caches[group].put(snps, result.em.frequencies)
-
-    @staticmethod
-    def _blend_with_uniform(frequencies: np.ndarray) -> np.ndarray:
-        uniform = 1.0 / frequencies.shape[0]
-        return (
-            (1.0 - _WARM_START_UNIFORM_WEIGHT) * frequencies
-            + _WARM_START_UNIFORM_WEIGHT * uniform
-        )
-
-    def _pooled_warm_start(
-        self, snps: tuple[int, ...], affected: EHDiallResult, unaffected: EHDiallResult
-    ) -> np.ndarray | None:
-        if self._warm_start is False:
-            return None
-        remembered = self._warm_frequencies("pooled", snps)
-        if remembered is not None:
-            return self._blend_with_uniform(remembered)
-        total = affected.n_chromosomes + unaffected.n_chromosomes
-        if total == 0:
-            return None
-        mix = (
-            affected.n_chromosomes * affected.em.frequencies
-            + unaffected.n_chromosomes * unaffected.em.frequencies
-        ) / total
-        return self._blend_with_uniform(mix)
 
     def _group_ehdiall(self, group: str, snps: tuple[int, ...]) -> EHDiallResult:
         """EH-DIALL for one of the two status groups, with full reuse."""
@@ -361,23 +296,16 @@ class HaplotypeEvaluator:
             cached = self._result_caches[group].get(snps)
             if cached is not None:
                 return cached
-        expansion = self._group_expansion(group, snps)
-        initial = self._warm_frequencies(group, snps)
-        if initial is not None:
-            initial = self._blend_with_uniform(initial)
         result = ehdiall_from_expansion(
-            expansion,
+            self._group_expansion(group, snps),
             max_iter=self._em_max_iter,
             tol=self._em_tol,
-            initial_frequencies=initial,
         )
         self._n_em_runs += 1
         self._remember(group, snps, result)
         return result
 
-    def _pooled_ehdiall(
-        self, snps: tuple[int, ...], affected: EHDiallResult, unaffected: EHDiallResult
-    ) -> EHDiallResult:
+    def _pooled_ehdiall(self, snps: tuple[int, ...]) -> EHDiallResult:
         """Pooled case+control EH-DIALL built from the group expansions."""
         if self._result_caches is not None:
             cached = self._result_caches["pooled"].get(snps)
@@ -387,12 +315,8 @@ class HaplotypeEvaluator:
             self._group_expansion("affected", snps),
             self._group_expansion("unaffected", snps),
         )
-        initial = self._pooled_warm_start(snps, affected, unaffected)
         result = ehdiall_from_expansion(
-            expansion,
-            max_iter=self._em_max_iter,
-            tol=self._em_tol,
-            initial_frequencies=initial,
+            expansion, max_iter=self._em_max_iter, tol=self._em_tol
         )
         self._n_em_runs += 1
         self._remember("pooled", snps, result)
@@ -428,8 +352,8 @@ class HaplotypeEvaluator:
         the evaluator is built with ``statistic="lrt"``.
 
         The pooled fit reuses the group expansions (concatenated class
-        tables); with ``warm_start=True`` it is additionally seeded from the
-        count-weighted mix of the two group solutions.
+        tables) and, like the group fits, starts from the uniform
+        distribution.
         """
         snps = self._validate_snps(snps)
         affected = self._group_ehdiall("affected", snps)
@@ -439,7 +363,7 @@ class HaplotypeEvaluator:
     def _lrt_from_results(
         self, snps: tuple[int, ...], affected: EHDiallResult, unaffected: EHDiallResult
     ) -> float:
-        pooled = self._pooled_ehdiall(snps, affected, unaffected)
+        pooled = self._pooled_ehdiall(snps)
         statistic = 2.0 * (
             affected.h1_log_likelihood
             + unaffected.h1_log_likelihood
@@ -489,41 +413,24 @@ class HaplotypeEvaluator:
     ) -> None:
         """Fit the EM problems of one wave, stacking the dispatch-bound ones.
 
-        ``wave`` holds ``(group, slot, key)`` problems whose expansions and
-        warm starts are all derivable *now* (group problems always are; pooled
-        problems join a later wave when their warm start needs the group
-        results).  Problems small enough to be dispatch-bound are packed into
-        stacked kernel calls (split at :data:`STACK_MAX_TOTAL_PAIRS` summed
-        pairs); larger ones run the scalar kernel, which is compute-bound and
-        gains nothing from stacking.  Either path produces bit-identical
-        results — the split is purely a throughput decision.
+        ``wave`` holds ``(group, slot, key)`` problems; every EM starts from
+        the uniform distribution, so group and pooled problems of a batch
+        share one wave.  Problems small enough to be dispatch-bound are packed
+        into stacked kernel calls (split at :data:`STACK_MAX_TOTAL_PAIRS`
+        summed pairs); larger ones run the scalar kernel, which is
+        compute-bound and gains nothing from stacking.  Either path produces
+        bit-identical results — the split is purely a throughput decision.
         """
         expansions: list[PhaseExpansion] = []
-        initials: list[np.ndarray | None] = []
-        for group, slot, key in wave:
+        for group, _slot, key in wave:
             if group == "pooled":
                 expansion = concat_expansions(
                     self._group_expansion("affected", key),
                     self._group_expansion("unaffected", key),
                 )
-                if self._warm_start is False:
-                    # cold pooled EMs join the group problems' wave, before
-                    # the group results exist — which is fine, their warm
-                    # start is always None
-                    initial = None
-                else:
-                    initial = self._pooled_warm_start(
-                        key,
-                        resolved[("affected", slot)],
-                        resolved[("unaffected", slot)],
-                    )
             else:
                 expansion = self._group_expansion(group, key)
-                initial = self._warm_frequencies(group, key)
-                if initial is not None:
-                    initial = self._blend_with_uniform(initial)
             expansions.append(expansion)
-            initials.append(initial)
 
         # partition into stacked chunks and scalar stragglers
         stack: list[int] = []
@@ -551,7 +458,6 @@ class HaplotypeEvaluator:
                 [expansions[i] for i in chunk],
                 max_iter=self._em_max_iter,
                 tol=self._em_tol,
-                initial_frequencies=[initials[i] for i in chunk],
             )
             self._n_em_runs += len(chunk)
             self._n_stacked_em += 1
@@ -563,10 +469,7 @@ class HaplotypeEvaluator:
         for index in scalars:
             group, slot, key = wave[index]
             result = ehdiall_from_expansion(
-                expansions[index],
-                max_iter=self._em_max_iter,
-                tol=self._em_tol,
-                initial_frequencies=initials[index],
+                expansions[index], max_iter=self._em_max_iter, tol=self._em_tol
             )
             self._n_em_runs += 1
             resolved[(group, slot)] = result
@@ -590,9 +493,6 @@ class HaplotypeEvaluator:
         fitted once (they would have been answered by the result cache in the
         sequential loop anyway); with caches disabled (``cache_size=0``) each
         request is fitted independently, exactly like the sequential loop.
-        The only divergence from the sequential loop is cache *recency* order
-        under ``warm_start="full"`` with overflowing caches, where results
-        already depend on request history.
         """
         keys = [self._validate_snps(snps) for snps in batch]
         if not keys:
@@ -608,39 +508,25 @@ class HaplotypeEvaluator:
             slot_of = None
         need_pooled = self._statistic == "lrt"
 
-        resolved: dict[tuple[str, int], EHDiallResult] = {}
-        group_wave: list[tuple[str, int, tuple[int, ...]]] = []
-        for slot, key in enumerate(slot_keys):
-            for group in ("affected", "unaffected"):
-                cached = (
-                    self._result_caches[group].get(key) if caches_enabled else None
-                )
-                if cached is not None:
-                    resolved[(group, slot)] = cached
-                else:
-                    group_wave.append((group, slot, key))
-        pooled_wave: list[tuple[str, int, tuple[int, ...]]] = []
+        problems = [
+            (group, slot, key)
+            for slot, key in enumerate(slot_keys)
+            for group in ("affected", "unaffected")
+        ]
         if need_pooled:
-            for slot, key in enumerate(slot_keys):
-                cached = (
-                    self._result_caches["pooled"].get(key) if caches_enabled else None
-                )
-                if cached is not None:
-                    resolved[("pooled", slot)] = cached
-                else:
-                    pooled_wave.append(("pooled", slot, key))
-
-        if pooled_wave and self._warm_start is False:
-            # no warm starts: pooled EMs start uniform, so they can join the
-            # group problems in one stacked wave
-            self._run_problem_wave(group_wave + pooled_wave, resolved)
-        else:
-            if group_wave:
-                self._run_problem_wave(group_wave, resolved)
-            if pooled_wave:
-                # warm-started pooled EMs are seeded from the group results,
-                # so they form a second wave (exactly the scalar ordering)
-                self._run_problem_wave(pooled_wave, resolved)
+            # every EM starts uniform, so the pooled problems need no group
+            # result and join the group problems in one stacked wave
+            problems += [("pooled", slot, key) for slot, key in enumerate(slot_keys)]
+        resolved: dict[tuple[str, int], EHDiallResult] = {}
+        wave: list[tuple[str, int, tuple[int, ...]]] = []
+        for group, slot, key in problems:
+            cached = self._result_caches[group].get(key) if caches_enabled else None
+            if cached is not None:
+                resolved[(group, slot)] = cached
+            else:
+                wave.append((group, slot, key))
+        if wave:
+            self._run_problem_wave(wave, resolved)
 
         fitnesses: list[float] = []
         slot_fitness: dict[int, float] = {}
@@ -698,7 +584,6 @@ class HaplotypeEvaluator:
         state = self.__dict__.copy()
         state["_expansion_caches"] = None
         state["_result_caches"] = None
-        state["_warm_caches"] = None
         return state
 
     def __setstate__(self, state: dict) -> None:

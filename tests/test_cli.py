@@ -174,6 +174,21 @@ class TestCommands:
         ]) == 0
         assert "windows" in capsys.readouterr().out
 
+    def test_scan_resume_of_another_scans_journal_exits_2(self, tmp_path, capsys):
+        study_dir = tmp_path / "study"
+        main(["simulate", str(study_dir), "--n-snps", "12",
+              "--n-affected", "12", "--n-unaffected", "12", "--seed", "5"])
+        checkpoint = str(tmp_path / "scan.jsonl")
+        scan = ["scan", str(study_dir), "--window-size", "6", "--window-overlap", "2",
+                "--max-size", "2", "--stagnation", "1", "--max-generations", "2",
+                "--seed", "17", "--checkpoint", checkpoint]
+        assert main(scan + ["--population-size", "6"]) == 0
+        capsys.readouterr()
+        assert main(scan + ["--population-size", "8", "--resume"]) == 2
+        err = capsys.readouterr().err
+        assert "different scan" in err and "config_digest" in err
+        assert "Traceback" not in err
+
     def test_scan_cost_model_file_must_be_valid(self, tmp_path, capsys):
         model_path = tmp_path / "cost.json"
         model_path.write_text('{"base_seconds": 0.001}')

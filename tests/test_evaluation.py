@@ -94,11 +94,12 @@ class TestEvaluation:
         np.testing.assert_allclose(table.counts, record.table.counts)
 
     def test_default_lrt_matches_cold_pooled_fit(self, small_dataset):
-        """The default (no warm start) LRT must equal three cold EM fits.
+        """The LRT must equal three cold EM fits.
 
         Regression guard: a warm-started pooled EM can stall in a different
-        optimum and shift the statistic, so warm starts are opt-in and the
-        default path must reproduce the seed pipeline's values.
+        optimum and shift the statistic, so the evaluator starts every EM
+        from the uniform distribution and reproduces the seed pipeline's
+        values.
         """
         from repro.stats.ehdiall import run_ehdiall
 

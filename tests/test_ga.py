@@ -267,68 +267,3 @@ class TestSchemeToggles:
         result = ga.run()
         if result.termination_reason == "stagnation":
             assert result.history.n_immigrant_triggers() >= 1
-
-
-class TestSteadyStateOverlap:
-    """The opt-in overlap_generations pipelining (tentpole layer 3)."""
-
-    def test_overlap_zero_is_the_barrier_default(self):
-        assert GAConfig().overlap_generations == 0
-        with pytest.raises(ValueError):
-            GAConfig(overlap_generations=-1)
-
-    @pytest.mark.parametrize("overlap", [1, 3])
-    def test_deterministic_for_a_fixed_overlap(self, small_evaluator, overlap):
-        def run_once():
-            ga = AdaptiveMultiPopulationGA(
-                small_evaluator,
-                n_snps=N_SNPS,
-                config=_config(overlap_generations=overlap),
-            )
-            result = ga.run()
-            return [
-                (size, ind.snps, ind.fitness_value())
-                for size, ind in sorted(result.best_per_size.items())
-            ], result.n_evaluations, result.n_generations
-
-        assert run_once() == run_once()
-
-    def test_pipelined_run_is_complete_and_consistent(self, small_evaluator):
-        ga = AdaptiveMultiPopulationGA(
-            small_evaluator, n_snps=N_SNPS, config=_config(overlap_generations=2)
-        )
-        result = ga.run()
-        assert result.n_generations >= 1
-        assert result.n_generations <= _config().max_generations
-        assert result.termination_reason in {"stagnation", "max_generations"}
-        # every planned generation was integrated: the history is contiguous
-        assert [r.generation for r in result.history] == list(
-            range(1, result.n_generations + 1)
-        )
-        assert result.n_evaluations == result.history[-1].n_evaluations
-        # the counter matches what the evaluator really received
-        assert ga.evaluator.stats.n_requests == result.n_evaluations
-
-    def test_finds_the_planted_signal_like_the_barrier(self, small_evaluator):
-        barrier = AdaptiveMultiPopulationGA(
-            small_evaluator, n_snps=N_SNPS, config=_config()
-        ).run()
-        pipelined = AdaptiveMultiPopulationGA(
-            small_evaluator, n_snps=N_SNPS, config=_config(overlap_generations=2)
-        ).run()
-        best_barrier = max(i.fitness_value() for i in barrier.best_per_size.values())
-        best_pipelined = max(i.fitness_value() for i in pipelined.best_per_size.values())
-        # steady state explores a different trajectory but the same landscape;
-        # on this small planted panel both must land in the same ballpark
-        assert best_pipelined >= 0.8 * best_barrier
-
-    def test_overlap_on_a_process_backend(self, small_evaluator):
-        with AdaptiveMultiPopulationGA(
-            small_evaluator,
-            n_snps=N_SNPS,
-            config=_config(overlap_generations=1, max_generations=6),
-            backend="process",
-            backend_options={"n_workers": 2},
-        ) as ga:
-            result = ga.run()
-        assert result.n_generations >= 1

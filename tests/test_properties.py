@@ -102,6 +102,58 @@ class TestEvaluationInvariances:
         assert a == pytest.approx(b, rel=1e-9)
 
 
+@st.composite
+def _evaluation_workload(draw):
+    """A small panel plus a request stream with repeats, for cache stress."""
+    n_snps = draw(st.integers(min_value=3, max_value=8))
+    n_affected = draw(st.integers(min_value=2, max_value=15))
+    n_unaffected = draw(st.integers(min_value=2, max_value=15))
+    missing_rate = draw(st.sampled_from([0.0, 0.1, 0.4]))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    genotypes = _random_genotypes(
+        rng, n_affected + n_unaffected, n_snps, missing_rate=missing_rate
+    )
+    status = np.array([1] * n_affected + [0] * n_unaffected, dtype=np.int8)
+    haplotype = st.lists(
+        st.integers(min_value=0, max_value=n_snps - 1),
+        min_size=1, max_size=min(n_snps, 4), unique=True,
+    ).map(lambda snps: tuple(sorted(snps)))
+    distinct = draw(st.lists(haplotype, min_size=1, max_size=6, unique=True))
+    requests = draw(st.lists(st.sampled_from(distinct), min_size=1, max_size=25))
+    return GenotypeDataset(genotypes, status), requests
+
+
+class TestFitnessIsPure:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        _evaluation_workload(),
+        st.sampled_from([0, 1, 2]),
+        st.sampled_from(["t1", "lrt"]),
+        st.integers(min_value=1, max_value=5),
+    )
+    def test_value_survives_cache_eviction(self, workload, cache_size, statistic, chunk):
+        """Tiny caches evict and re-evaluate constantly; no value may move.
+
+        Requests go to one small-cache evaluator in chunks, alternating the
+        scalar ``evaluate`` loop and the batched ``evaluate_many``; every
+        value must equal a fresh evaluator's value for that haplotype.
+        """
+        dataset, requests = workload
+        stressed = HaplotypeEvaluator(dataset, statistic=statistic, cache_size=cache_size)
+        values: list[float] = []
+        for number, start in enumerate(range(0, len(requests), chunk)):
+            part = requests[start: start + chunk]
+            if number % 2:
+                values += stressed.evaluate_many(part)
+            else:
+                values += [stressed.evaluate(snps) for snps in part]
+        fresh = {
+            snps: HaplotypeEvaluator(dataset, statistic=statistic).evaluate(snps)
+            for snps in set(requests)
+        }
+        np.testing.assert_array_equal(values, [fresh[snps] for snps in requests])
+
+
 class TestContingencyInvariances:
     @settings(max_examples=30, deadline=None)
     @given(st.integers(min_value=0, max_value=10_000))

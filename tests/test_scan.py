@@ -343,7 +343,7 @@ class TestCostModelCalibration:
         calibrated: the probes would time cache lookups, not evaluations."""
         from itertools import combinations
 
-        with RunScheduler(small_dataset, cache_size=None) as scheduler:
+        with RunScheduler(small_dataset) as scheduler:
             warm = scheduler.probe_evaluator()
             warm.evaluate_batch(list(combinations(range(small_dataset.n_snps), 2)))
             with pytest.raises(RuntimeError, match="cache"):

@@ -2,10 +2,11 @@
 
 The journal unit tests drive :class:`repro.scan.checkpoint.ScanJournal`
 directly (round-trip, identity mismatch, torn-tail tolerance, mid-file
-corruption).  The acceptance tests run a chromosome-scale (~100-window) scan
-and check the two robustness guarantees end to end: a scan that loses a
-slave mid-flight and a scan killed halfway and resumed both produce reports
-bit-identical to an uninterrupted fault-free run.
+corruption).  A scan interrupted under one GA configuration must refuse to
+resume under another.  The acceptance tests run a chromosome-scale
+(~100-window) scan and check the two robustness guarantees end to end: a
+scan that loses a slave mid-flight and a scan killed halfway and resumed
+both produce reports bit-identical to an uninterrupted fault-free run.
 """
 
 import json
@@ -17,6 +18,7 @@ from repro.genetics.dataset import LocusWindow
 from repro.genetics.simulate import (
     DiseaseModel,
     PopulationModel,
+    lille_like_study,
     simulate_case_control_study,
 )
 from repro.parallel.farm import FarmRecoveryPolicy
@@ -35,8 +37,10 @@ WINDOW_SIZE = 4
 OVERLAP = 2
 
 
-def _plan(n_snps=20, seed=5):
-    return plan_scan(n_snps, window_size=WINDOW_SIZE, overlap=OVERLAP, seed=seed)
+def _plan(n_snps=20, seed=5, config=None):
+    return plan_scan(
+        n_snps, window_size=WINDOW_SIZE, overlap=OVERLAP, seed=seed, config=config
+    )
 
 
 def _result(index, *, fitness=1.5):
@@ -122,10 +126,18 @@ class TestScanJournal:
         path = tmp_path / "scan.jsonl"
         with ScanJournal.open(path, checkpoint_meta(_plan(seed=5), 20))[0] as journal:
             journal.append(_result(0))
-        with pytest.raises(CheckpointMismatchError, match="different scan"):
+        with pytest.raises(CheckpointMismatchError, match="different scan") as caught:
             ScanJournal.open(path, checkpoint_meta(_plan(seed=6), 20), resume=True)
+        # the message names the differing header keys, and only those
+        message = str(caught.value)
+        assert "seed: journal 5, this scan 6" in message
+        for same in ("n_snps", "window_size", "config_digest", "panel"):
+            assert f"{same}:" not in message
         with pytest.raises(CheckpointMismatchError, match="different scan"):
             ScanJournal.open(path, checkpoint_meta(_plan(seed=5), 24), resume=True)
+        other_config = _plan(seed=5, config=GAConfig(population_size=16))
+        with pytest.raises(CheckpointMismatchError, match="config_digest"):
+            ScanJournal.open(path, checkpoint_meta(other_config, 20), resume=True)
 
     def test_torn_final_line_is_tolerated_and_truncated(self, tmp_path):
         path = tmp_path / "scan.jsonl"
@@ -295,3 +307,58 @@ class TestChromosomeScaleFaultTolerance:
         )
         assert resumed.fingerprint() == reference.fingerprint()
         assert resumed.stats.n_requests == 0  # every window restored from disk
+
+
+class TestResumeUnderAnotherConfig:
+    """A journal pins the GA configuration its windows were computed under."""
+
+    WINDOW_SIZE = 6
+    OVERLAP = 3
+    SEED = 11
+    CONFIG_A = GAConfig(
+        population_size=8, max_haplotype_size=3, termination_stagnation=2,
+        max_generations=3,
+    )
+    CONFIG_B = GAConfig(
+        population_size=16, max_haplotype_size=3, termination_stagnation=4,
+        max_generations=8,
+    )
+
+    @pytest.fixture(scope="class")
+    def dataset(self):
+        return lille_like_study(
+            seed=9, n_affected=12, n_unaffected=12, n_snps=14
+        ).dataset
+
+    def _scan(self, dataset, config, checkpoint, **kwargs):
+        return run_scan(
+            dataset,
+            window_size=self.WINDOW_SIZE,
+            overlap=self.OVERLAP,
+            config=config,
+            seed=self.SEED,
+            checkpoint_path=checkpoint,
+            **kwargs,
+        )
+
+    def test_interrupted_scan_refuses_to_resume_under_another_config(
+        self, dataset, tmp_path
+    ):
+        checkpoint = tmp_path / "scan.jsonl"
+        seen = 0
+
+        def die_after_two(result):
+            nonlocal seen
+            seen += 1
+            if seen >= 2:
+                raise _Interrupted()
+
+        with pytest.raises(_Interrupted):
+            self._scan(dataset, self.CONFIG_A, checkpoint, progress=die_after_two)
+        assert len(_journal_windows(checkpoint)) == 2
+        with pytest.raises(CheckpointMismatchError, match="config_digest"):
+            self._scan(dataset, self.CONFIG_B, checkpoint, resume=True)
+        # the refused resume left the journal as it was: config A resumes it
+        resumed = self._scan(dataset, self.CONFIG_A, checkpoint, resume=True)
+        reference = self._scan(dataset, self.CONFIG_A, tmp_path / "cold.jsonl")
+        assert resumed.fingerprint() == reference.fingerprint()

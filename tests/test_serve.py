@@ -9,6 +9,7 @@ the daemon (cache cold and warm) fingerprint-identical to the in-process
 scan on the ``process`` backend and its ``process-shm`` alias.
 """
 
+import dataclasses
 import os
 import re
 import signal
@@ -37,11 +38,21 @@ from repro.runtime.server import (
     AdmissionRejected,
     ScanServer,
     WindowResultCache,
-    config_digest,
 )
+from repro.genetics.constraints import HaplotypeConstraints
 from repro.runtime.service import RunRequest, RunScheduler
-from repro.runtime.spec import PROTOCOL_VERSION, ClientHello
+from repro.runtime.spec import (
+    PROTOCOL_VERSION,
+    ClientHello,
+    EvaluatorSpec,
+    HealthProbe,
+    RunEnvelope,
+    ScanEnvelope,
+    ShutdownCommand,
+    StatusProbe,
+)
 from repro.scan import run_scan
+from repro.scan.checkpoint import config_digest
 
 WINDOW_SIZE = 6
 OVERLAP = 3
@@ -367,8 +378,53 @@ class TestScanService:
         assert "ClientHello" in message
 
 
+#: The field names of every dataclass the daemon's wire carries, as of
+#: PROTOCOL_VERSION 2.
+WIRE_SHAPES_V2 = {
+    ClientHello: ("client_id", "protocol_version"),
+    ScanEnvelope: ("window_size", "overlap", "config", "seed", "statistic", "n_runs"),
+    RunEnvelope: ("request",),
+    StatusProbe: (),
+    HealthProbe: (),
+    ShutdownCommand: ("drain",),
+    RunRequest: (
+        "config", "n_runs", "seed", "statistic", "spec", "snp_indices", "constraints",
+    ),
+    GAConfig: (
+        "min_haplotype_size", "max_haplotype_size", "population_size", "allocation",
+        "crossover_rate", "mutation_rate", "min_operator_rate",
+        "point_mutation_trials", "tournament_size", "offspring_per_generation",
+        "termination_stagnation", "max_generations", "max_evaluations",
+        "random_immigrant_stagnation", "use_adaptive_mutation",
+        "use_adaptive_crossover", "use_size_mutations",
+        "use_inter_population_crossover", "use_random_immigrants", "seed",
+    ),
+    EvaluatorSpec: ("statistic", "em_max_iter", "em_tol", "clump_min_expected", "cache_size"),
+    HaplotypeConstraints: (
+        "ld_table", "frequency_table", "max_pairwise_ld",
+        "min_minor_frequency_difference",
+    ),
+}
+
+
 class TestProtocolVersion:
     """The daemon refuses a hello from another wire-protocol version."""
+
+    def test_wire_shapes_are_pinned_to_the_version(self):
+        shapes = {
+            cls: tuple(field.name for field in dataclasses.fields(cls))
+            for cls in WIRE_SHAPES_V2
+        }
+        changed = {
+            cls.__name__: shape
+            for cls, shape in shapes.items()
+            if shape != WIRE_SHAPES_V2[cls]
+        }
+        assert PROTOCOL_VERSION == 2 and not changed, (
+            f"the wire shapes changed ({changed}) or PROTOCOL_VERSION moved "
+            f"(now {PROTOCOL_VERSION}): a changed shape needs a PROTOCOL_VERSION "
+            f"bump and a new pin of every carried shape for the new version"
+        )
 
     @staticmethod
     def _raw_hello(server, hello):

@@ -3,8 +3,8 @@
 ``HaplotypeEvaluator.evaluate_many`` must be observably identical to the
 sequential ``evaluate`` loop — same fitness values (bit-identical, courtesy of
 the stacked kernel's exact parity), same cache population, same
-``n_evaluations``/``n_em_runs`` accounting — across every statistic and
-warm-start mode.  On top of that sit the routing layers: the serial evaluator
+``n_evaluations``/``n_em_runs`` accounting — across every statistic, on the
+byte and on the 2-bit packed panel.  On top of that sit the routing layers: the serial evaluator
 (and therefore every farm slave's chunk fast path) must send distinct batches
 through it and surface the stacked-EM counters in
 :class:`~repro.parallel.base.EvaluationStats`, and the cost-model-driven farm
@@ -16,6 +16,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.genetics.dataset import as_packed_dataset
 from repro.parallel.base import EvaluationStats, evaluate_batch_with
 from repro.parallel.farm import cost_balanced_chunks
 from repro.parallel.master_slave import MasterSlaveEvaluator
@@ -44,25 +45,20 @@ def batch(small_dataset):
 
 class TestEvaluateMany:
     @pytest.mark.parametrize(
-        "statistic,warm_start",
+        "statistic,packed",
         [
             ("t1", False),
             ("t2", False),
             ("t3", False),
             ("t4", False),
             ("lrt", False),
-            ("lrt", True),
-            ("t1", "full"),
-            ("lrt", "full"),
+            ("t1", True),
         ],
     )
-    def test_matches_sequential_loop(self, small_dataset, batch, statistic, warm_start):
-        sequential = HaplotypeEvaluator(
-            small_dataset, statistic=statistic, warm_start=warm_start
-        )
-        batched = HaplotypeEvaluator(
-            small_dataset, statistic=statistic, warm_start=warm_start
-        )
+    def test_matches_sequential_loop(self, small_dataset, batch, statistic, packed):
+        dataset = as_packed_dataset(small_dataset) if packed else small_dataset
+        sequential = HaplotypeEvaluator(dataset, statistic=statistic)
+        batched = HaplotypeEvaluator(dataset, statistic=statistic)
         expected = [sequential.evaluate(snps) for snps in batch]
         actual = batched.evaluate_many(batch)
         assert actual == expected  # bit-identical, not approx
