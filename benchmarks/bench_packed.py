@@ -9,17 +9,18 @@ leaves):
    over packed-segment bytes.  The run asserts the >= 3.5x acceptance floor
    (4x is the asymptote; the status row and page rounding eat the rest).
 
-2. **Phase-expansion construction.**  ``expand_phases_packed`` (LUT byte
-   histograms over packed columns) against the byte-matrix
-   ``expand_phases`` (row-sort ``np.unique``) on random locus subsets at
-   cohort scale.  Every cell asserts bitwise-identical expansions before it
-   is timed; the headline is the *minimum* per-call gain across cells, and
-   the run asserts the >= 1.5x acceptance floor.  Cells use n >= 500
-   individuals, the cohorts the packed path is built for: there class
-   counting (a row sort against a histogram of radix codes) is most of an
-   expansion, while pair enumeration is one vectorised pass both paths
-   share.  With ~50 rows per group the row sort is short and the two paths
-   come closer.
+2. **Phase-expansion construction.**  ``expand_phases_packed`` (histograms
+   of radix codes read from packed columns), the builder of every fitness
+   expansion, against the byte-matrix ``expand_phases`` (row-sort
+   ``np.unique``), which now serves only the report paths and is this
+   gate's baseline, on random locus subsets at cohort scale.  Every cell
+   asserts bitwise-identical expansions before it is timed; the headline is
+   the *minimum* per-call gain across cells, and the run asserts the >= 1.5x
+   acceptance floor.  Cells use n >= 500 individuals: there class counting
+   (a row sort against a histogram of radix codes) is most of an expansion,
+   while the per-size phase-table gather is a tail both builders share.
+   With ~50 rows per group the row sort is short and the two paths come
+   closer.
 
 3. **End-to-end scan.**  The same windowed scan byte-wise and packed
    (fingerprints asserted identical).  Recorded as

@@ -73,7 +73,7 @@ def bench_persistent(dataset, plan, *, backend, n_workers, jobs) -> dict:
     with RunScheduler(
         dataset, backend=backend, n_workers=n_workers, jobs=jobs
     ) as scheduler:
-        windows = execute_plan(plan, scheduler)
+        windows, _ = execute_plan(plan, scheduler)
         stats = scheduler.stats
     elapsed = time.perf_counter() - start
     return {

@@ -23,6 +23,7 @@ execution substrate.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import Sequence
 
@@ -597,6 +598,9 @@ def _cmd_scan(args: argparse.Namespace) -> int:
         termination_stagnation=args.stagnation,
         max_generations=args.max_generations,
     )
+    if args.resume and not os.path.exists(args.checkpoint):
+        print(f"scan --resume: no journal at {args.checkpoint}; starting a fresh scan",
+              file=sys.stderr)
     try:
         report = run_scan(
             dataset,

@@ -17,7 +17,7 @@ just a grid over configurations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Literal
 
 __all__ = ["GAConfig"]

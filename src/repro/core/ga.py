@@ -51,7 +51,7 @@ from .individual import HaplotypeIndividual, random_individual
 from .operators.base import OperatorApplication, SnpTuple
 from .operators.crossover import InterPopulationCrossover, IntraPopulationCrossover
 from .operators.mutation import AugmentationMutation, PointMutation, ReductionMutation
-from .population import MultiPopulation, SubPopulation
+from .population import MultiPopulation
 from .selection import select_parent_pair, tournament_selection
 from .termination import TerminationCriteria, TerminationState
 

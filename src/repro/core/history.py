@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterator, Mapping, Sequence
+from dataclasses import dataclass
+from typing import Iterator
 
 from .config import GAConfig
 from .individual import HaplotypeIndividual

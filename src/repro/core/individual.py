@@ -11,8 +11,7 @@ processes without defensive copies.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Iterable, Sequence
+from dataclasses import dataclass, replace
 
 import numpy as np
 

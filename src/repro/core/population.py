@@ -11,8 +11,7 @@ through the size-changing mutations and the inter-population crossover.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 

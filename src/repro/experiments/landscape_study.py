@@ -20,8 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
 from ..genetics.simulate import SimulatedStudy
 from ..search.exhaustive import ScoredHaplotype
 from ..search.landscape import (

@@ -26,7 +26,7 @@ so group and window selections stay zero-copy views of one packed buffer.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np

@@ -17,8 +17,9 @@ genotype.  This module is that substrate: a SNP-major packed matrix
 * :meth:`PackedPanel.codes` builds the base-4 radix code of each individual
   over a set of loci (locus 0 most significant), which is exactly the
   lexicographic class key ``np.unique(genotypes, axis=0)`` sorts by — the
-  packed phase-expansion fast path in :mod:`repro.stats.em` histograms these
-  codes instead of uniquing byte rows.
+  packed phase-expansion builder in :mod:`repro.stats.em`, which builds
+  every fitness expansion, histograms these codes instead of uniquing byte
+  rows.
 
 Layout: ``data`` has shape ``(n_snps, width)`` with ``width = ceil(n/4)``;
 row ``s`` holds SNP ``s``'s genotypes for all individuals, individual ``i``
@@ -192,16 +193,18 @@ class PackedPanel:
         Locus 0 of ``snps`` is the most significant digit, so ascending code
         order is exactly the lexicographic row order ``np.unique(axis=0)``
         sorts complete byte genotypes into — the property the bit-identical
-        packed expansion path rests on.
+        packed expansion path rests on.  All loci are read in one gather and
+        weighted by their base-4 place values in one integer product.
         """
         idx = np.asarray(snps, dtype=np.intp)
         n_loci = idx.shape[0]
         dtype = np.int32 if n_loci <= 15 else np.int64
-        codes = np.zeros(self.n_individuals, dtype=dtype)
-        for snp in idx:
-            np.multiply(codes, 4, out=codes)
-            np.add(codes, self.digits(int(snp)), out=codes, casting="unsafe")
-        return codes
+        lo = self.row_start
+        b0, b1 = lo // 4, (lo + self.n_individuals + 3) // 4
+        off = lo - 4 * b0
+        digits = _BYTE_DIGITS[self.data[idx, b0:b1]].reshape(n_loci, 4 * (b1 - b0))
+        place = (4 ** np.arange(n_loci - 1, -1, -1)).astype(dtype)
+        return place @ digits[:, off : off + self.n_individuals]
 
     def state_counts(self) -> np.ndarray:
         """Per-SNP occurrence counts of each state — shape ``(n_snps, 4)``.

@@ -23,8 +23,7 @@ Two canned generators mirror the paper's datasets:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 

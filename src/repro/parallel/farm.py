@@ -51,7 +51,6 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 from .base import (
     FitnessCallable,
-    SnpSet,
     default_mp_context,
     validate_chunk_size,
     validate_worker_count,

@@ -20,10 +20,7 @@ to the other islands, which accept it through the normal replacement rule.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
-
-import numpy as np
+from dataclasses import dataclass
 
 from ..core.config import GAConfig
 from ..core.ga import AdaptiveMultiPopulationGA

@@ -4,8 +4,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Sequence
-from contextlib import contextmanager
+from typing import Callable
 
 import numpy as np
 

@@ -122,7 +122,12 @@ class ScanReport:
         The scan's geometry and seeding, echoed for reproducibility.
     n_cached_windows:
         Windows replayed from a scan service's cross-request result cache
-        (0 for in-process scans and cold-cache service scans).
+        (0 for in-process scans and cold-cache service scans).  A daemon
+        counts the windows it restores from its own journal here too.
+    n_restored_windows:
+        Windows an in-process scan restored from its checkpoint journal
+        instead of running them (0 without ``resume``).  Like
+        ``n_cached_windows``, it is excluded from the fingerprint.
     admission_wait_seconds:
         Time the request spent queued by a scan service's admission
         controller before execution began (0 in-process).
@@ -145,6 +150,7 @@ class ScanReport:
     statistic: str
     seed: int
     n_cached_windows: int = 0
+    n_restored_windows: int = 0
     admission_wait_seconds: float = 0.0
     n_client_retries: int = 0
 
@@ -235,6 +241,11 @@ class ScanReport:
                 f"; {self.n_cached_windows} window(s) replayed from the "
                 f"service result cache"
             )
+        if self.n_restored_windows > 0:
+            headline += (
+                f"; {self.n_restored_windows} window(s) restored from the "
+                f"checkpoint journal"
+            )
         lines = [headline]
         headers = ["window", "loci", "best haplotype", "fitness", "# eval", "seconds"]
         rows = [
@@ -279,6 +290,7 @@ class ScanReport:
             "jobs": self.n_jobs,
             "elapsed_seconds": self.elapsed_seconds,
             "n_cached_windows": self.n_cached_windows,
+            "n_restored_windows": self.n_restored_windows,
             "admission_wait_seconds": self.admission_wait_seconds,
             "n_client_retries": self.n_client_retries,
             "n_evaluations": self.n_evaluations,
@@ -313,6 +325,7 @@ class ScanReport:
             seed=int(payload["seed"]),
             # absent in pre-service payloads: legacy reports still load
             n_cached_windows=int(payload.get("n_cached_windows", 0)),
+            n_restored_windows=int(payload.get("n_restored_windows", 0)),
             admission_wait_seconds=float(payload.get("admission_wait_seconds", 0.0)),
             n_client_retries=int(payload.get("n_client_retries", 0)),
         )

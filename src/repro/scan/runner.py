@@ -74,12 +74,14 @@ def execute_plan(
     cost_model: EvaluationCostModel | None = None,
     checkpoint_path=None,
     resume: bool = False,
-) -> tuple[WindowResult, ...]:
+) -> tuple[tuple[WindowResult, ...], int]:
     """Run every window job of ``plan`` on ``scheduler``; window order output.
 
-    Results stream through ``progress`` in completion order (whatever the
-    scheduler's job concurrency makes that); the returned tuple is always in
-    window order and bit-identical regardless of it.
+    Returns the window results and how many of them were restored from the
+    checkpoint journal.  Results stream through ``progress`` in completion
+    order (whatever the scheduler's job concurrency makes that); the
+    returned windows are always in window order and bit-identical regardless
+    of it.
 
     ``max_pending`` bounds how many window jobs are submitted but not yet
     finished: the plan's request stream is consumed lazily and topped up as
@@ -173,7 +175,7 @@ def execute_plan(
                 if progress is not None:
                     progress(result)
                 top_up()
-        return tuple(results[index] for index in sorted(results))
+        return tuple(results[index] for index in sorted(results)), len(completed)
     finally:
         if journal is not None:
             journal.close()
@@ -306,7 +308,7 @@ def run_scan(
         )
     stats_before = scheduler.stats
     try:
-        windows = execute_plan(
+        windows, n_restored = execute_plan(
             plan,
             scheduler,
             progress=progress,
@@ -330,4 +332,5 @@ def run_scan(
         overlap=overlap,
         statistic=statistic,
         seed=int(seed),
+        n_restored_windows=n_restored,
     )

@@ -12,12 +12,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Callable, Iterable, Iterator, Sequence
-
-import numpy as np
+from typing import Iterable, Iterator, Sequence
 
 from ..genetics.constraints import HaplotypeConstraints
-from ..parallel.base import FitnessCallable, SnpSet
+from ..parallel.base import FitnessCallable
 
 __all__ = ["ScoredHaplotype", "enumerate_haplotypes", "evaluate_all", "enumerate_best"]
 

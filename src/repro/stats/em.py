@@ -31,10 +31,16 @@ number and cost of these EM runs):
   reduction (``np.add.reduceat`` over contiguous class blocks, with an
   ``np.bincount`` fallback for hand-built unsorted expansions) instead of an
   unbuffered ``np.add.at`` scatter;
-* pair enumeration is one ragged vectorised pass over all genotype classes:
-  the ``2^(h-1)`` phase assignments of every class come out of a few
-  broadcast bit operations, already in class order, with no loop over pairs
-  or heterozygosity counts and no sort;
+* phase pairs are enumerated once per haplotype size, not per expansion: up
+  to 8 loci a per-size table holds the pairs of every complete genotype by
+  base-4 radix code, and an expansion gathers each class's pairs as one
+  slice of it with a few ``np.repeat`` and fancy-index calls.  The table
+  is the one ragged vectorised enumeration (the ``2^(h-1)`` phase
+  assignments of every class from a few broadcast bit operations, already
+  in class order), which larger haplotypes run per expansion;
+* every fitness expansion counts its genotype classes from 2-bit radix
+  codes (:func:`expand_phases_packed`): the evaluator and
+  :class:`PhaseExpansionCache` pack a byte panel once, up front;
 * an expansion leaves its builder knowing its class layout (the first pair
   of each class, and that the pairs are class-sorted), so neither the EM
   kernels nor batch stacking re-derive it per problem;
@@ -47,8 +53,8 @@ number and cost of these EM runs):
   tables (duplicated genotype classes are *exactly* equivalent to one merged
   class for the likelihood and the EM updates), and
   :class:`PhaseExpansionCache` memoises expansions per SNP subset so
-  re-evaluating a haplotype never repeats genotype slicing, ``np.unique``,
-  or pair enumeration;
+  re-evaluating a haplotype never repeats class counting or the pair
+  gather;
 * :func:`estimate_from_expansion` accepts ``initial_frequencies``, a
   kernel-level warm start (the evaluation pipeline always starts the EM
   from the uniform distribution, so a fitness never depends on what was
@@ -58,13 +64,13 @@ number and cost of these EM runs):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Sequence
 
 import numpy as np
 
 from ..genetics.alleles import GENOTYPE_MISSING, n_haplotype_states
-from ..genetics.packed import CODE_MISSING, PackedPanel
+from ..genetics.packed import CODE_MISSING, PackedPanel, pack_genotypes
 from ..lru import LRUCache
 
 __all__ = [
@@ -360,8 +366,8 @@ def _enumerate_pairs(
 def _expansion_from_classes(classes: np.ndarray, counts: np.ndarray) -> PhaseExpansion:
     """The expansion of distinct complete genotype classes and their counts.
 
-    The shared tail of :func:`expand_phases` and
-    :func:`expand_phases_packed`; the expansion leaves with its class layout.
+    The tail both builders share above :data:`_TABLE_MAX_LOCI` loci; the
+    expansion leaves with its class layout.
     """
     pair_a, pair_b, pair_class, class_starts = _enumerate_pairs(classes)
     return PhaseExpansion._with_layout(
@@ -378,8 +384,129 @@ def _expansion_from_classes(classes: np.ndarray, counts: np.ndarray) -> PhaseExp
     )
 
 
+#: largest haplotype size whose phase pairs are gathered from a per-size
+#: table instead of enumerated per call; the tables of all sizes up to 6
+#: take about 0.2 MB together, the 8-locus one about 2.4 MB.
+_TABLE_MAX_LOCI = 8
+
+
+@dataclass(frozen=True)
+class _PhaseTable:
+    """Every complete genotype of one haplotype size, expanded, by radix code.
+
+    Entry ``c`` of a per-code array belongs to the genotype whose base-4
+    radix code (locus 0 most significant, :meth:`PackedPanel.codes`) is
+    ``c``.  A code with a missing digit has no pairs.
+
+    Attributes
+    ----------
+    place:
+        ``(L,)`` base-4 place values: ``genotype @ place`` is its code.
+    n_pairs, first:
+        ``(4^L,)`` pair count of each code's class (0 for an incomplete
+        code) and the index of its first pair.
+    pair_a, pair_b, multiplicity:
+        The pairs of every complete class, class after class in ascending
+        code order.
+    genotypes:
+        ``(4^L, L)`` int8 class genotype of each complete code.
+    """
+
+    place: np.ndarray
+    n_pairs: np.ndarray
+    first: np.ndarray
+    pair_a: np.ndarray
+    pair_b: np.ndarray
+    multiplicity: np.ndarray
+    genotypes: np.ndarray
+
+
+@cache
+def _phase_table(n_loci: int) -> _PhaseTable:
+    """The :class:`_PhaseTable` of ``n_loci`` loci, built once per process.
+
+    It is :func:`_enumerate_pairs` run over all ``3^L`` complete genotypes in
+    ascending code order.  That function emits a class's pairs from the
+    class's own genotype alone, so the pairs stored for a genotype are bit
+    for bit those it emits for that genotype among any other classes.  The
+    arrays refuse writes because every expansion gathers from them.
+    """
+    n_codes = 4**n_loci
+    powers = np.arange(n_loci - 1, -1, -1, dtype=np.int64)
+    place = 4**powers
+    complete = ((np.arange(3**n_loci)[:, None] // 3**powers) % 3).astype(np.int8)
+    codes = complete @ place
+    pair_a, pair_b, _, class_starts = _enumerate_pairs(complete)
+    n_pairs = np.zeros(n_codes, dtype=np.int64)
+    n_pairs[codes] = np.diff(class_starts, append=pair_a.shape[0])
+    first = np.zeros(n_codes, dtype=np.int64)
+    first[codes] = class_starts
+    genotypes = np.zeros((n_codes, n_loci), dtype=np.int8)
+    genotypes[codes] = complete
+    table = _PhaseTable(
+        place=place,
+        n_pairs=n_pairs,
+        first=first,
+        pair_a=pair_a,
+        pair_b=pair_b,
+        multiplicity=np.where(pair_a == pair_b, 1.0, 2.0),
+        genotypes=genotypes,
+    )
+    for array in vars(table).values():
+        array.flags.writeable = False
+    return table
+
+
+def _expansion_from_codes(
+    codes: np.ndarray,
+    counts: np.ndarray,
+    n_loci: int,
+    classes: np.ndarray | None = None,
+) -> PhaseExpansion:
+    """The expansion of ascending radix codes and their counts, from the table.
+
+    The tail both builders share up to :data:`_TABLE_MAX_LOCI` loci: each
+    class gathers its pairs as one slice of :func:`_phase_table`.  The
+    packed builder passes every code its histogram found, and codes with a
+    missing digit are dropped here; the byte builder passes ``classes``, its
+    complete class genotypes (one row per code, kept in their own dtype).
+    Every field equals what :func:`_expansion_from_classes` builds for the
+    same classes.
+    """
+    table = _phase_table(n_loci)
+    pairs_per_class = table.n_pairs[codes]
+    if classes is None:
+        complete = np.flatnonzero(pairs_per_class)
+        codes, counts = codes[complete], counts[complete]
+        pairs_per_class = pairs_per_class[complete]
+        classes = table.genotypes[codes]
+    n_classes = codes.shape[0]
+    class_starts = np.cumsum(pairs_per_class) - pairs_per_class
+    pair_class = np.repeat(np.arange(n_classes, dtype=np.int64), pairs_per_class)
+    gather = np.repeat(table.first[codes] - class_starts, pairs_per_class)
+    gather += np.arange(pair_class.shape[0])
+    return PhaseExpansion._with_layout(
+        class_starts,
+        can_reduceat=n_classes > 0,
+        n_loci=n_loci,
+        class_counts=counts.astype(np.int64),
+        pair_a=table.pair_a[gather],
+        pair_b=table.pair_b[gather],
+        pair_class=pair_class,
+        pair_multiplicity=table.multiplicity[gather],
+        class_genotypes=classes,
+    )
+
+
 def expand_phases(genotypes: np.ndarray) -> PhaseExpansion:
     """Group complete genotypes into classes and enumerate their phase pairs.
+
+    The byte builder, which the report paths use
+    (:func:`estimate_haplotype_frequencies`,
+    :func:`~repro.stats.ehdiall.run_ehdiall`); fitness evaluation expands
+    through :func:`expand_phases_packed`.  Classes are counted with
+    ``np.unique`` over the complete rows, and up to :data:`_TABLE_MAX_LOCI`
+    loci their pairs are gathered from the per-size phase table.
 
     Parameters
     ----------
@@ -391,12 +518,19 @@ def expand_phases(genotypes: np.ndarray) -> PhaseExpansion:
     genotypes = np.asarray(genotypes)
     if genotypes.ndim != 2:
         raise ValueError("genotypes must be 2-D (individuals x loci)")
-    if genotypes.shape[1] == 0:
+    n_loci = genotypes.shape[1]
+    if n_loci == 0:
         raise ValueError("at least one locus is required")
     genotypes = genotypes[~np.any(genotypes == GENOTYPE_MISSING, axis=1)]
     if genotypes.shape[0] == 0:
-        return _expansion_from_classes(genotypes, np.zeros(0, dtype=np.int64))
-    classes, counts = np.unique(genotypes, axis=0, return_counts=True)
+        classes, counts = genotypes, np.zeros(0, dtype=np.int64)
+    else:
+        classes, counts = np.unique(genotypes, axis=0, return_counts=True)
+    # the tables hold integer codes 0/1/2; any other input is enumerated
+    in_table = classes.dtype.kind in "iu" and not np.any((classes < 0) | (classes > 2))
+    if n_loci <= _TABLE_MAX_LOCI and in_table:
+        codes = classes @ _phase_table(n_loci).place
+        return _expansion_from_codes(codes, counts, n_loci, classes)
     return _expansion_from_classes(classes, counts)
 
 
@@ -412,12 +546,17 @@ _PACKED_MAX_LOCI = 31
 def expand_phases_packed(
     panel: PackedPanel, snps: Sequence[int] | np.ndarray
 ) -> PhaseExpansion:
-    """Packed fast path of :func:`expand_phases` — bit-identical output.
+    """Packed builder of :func:`expand_phases` — bit-identical output.
 
-    Instead of slicing byte columns and running ``np.unique`` over rows, the
-    genotype classes are counted as base-4 radix codes built straight from the
-    packed 2-bit columns (:meth:`PackedPanel.codes`): a histogram (or a code
-    sort for large state spaces) yields the classes in ascending code order.
+    Every fitness expansion runs here (:class:`PhaseExpansionCache` and the
+    evaluator pack byte panels once, up front).  Instead of slicing byte
+    columns and running ``np.unique`` over rows, the genotype classes are
+    counted as base-4 radix codes built straight from the packed 2-bit
+    columns (:meth:`PackedPanel.codes`): a histogram (or a code sort for
+    large state spaces) yields the classes in ascending code order.  Up to
+    :data:`_TABLE_MAX_LOCI` loci each class then gathers its phase pairs and
+    its genotype from the per-size table; above, the classes are decoded and
+    enumerated.
 
     Bit-identity argument: the radix code puts locus 0 in the most significant
     digit, so ascending code order *is* the lexicographic row order
@@ -425,9 +564,9 @@ def expand_phases_packed(
     0/1/2 order identically as bytes and as 2-bit digits).  Individuals with a
     missing genotype carry digit 3 somewhere; the byte path drops those rows
     before uniquing, this path drops the classes containing digit 3 after
-    counting — same surviving classes, same order, same counts.  The decoded
-    classes then feed the same :func:`_expansion_from_classes`, so every
-    :class:`PhaseExpansion` field matches the byte path exactly.
+    counting — same surviving classes, same order, same counts.  Both
+    builders then run the same tail, so every :class:`PhaseExpansion` field
+    matches the byte path exactly.
     """
     idx = np.asarray(snps, dtype=np.intp)
     n_loci = idx.shape[0]
@@ -444,6 +583,8 @@ def expand_phases_packed(
         counts = histogram[present]
     else:
         present, counts = np.unique(codes, return_counts=True)
+    if n_loci <= _TABLE_MAX_LOCI:
+        return _expansion_from_codes(present, counts, n_loci)
 
     shifts = 2 * (n_loci - 1 - np.arange(n_loci))
     digits = (present[:, None] >> shifts) & 3
@@ -497,19 +638,20 @@ def concat_expansions(first: PhaseExpansion, second: PhaseExpansion) -> PhaseExp
 class PhaseExpansionCache:
     """Bounded LRU cache of phase expansions for SNP subsets of one matrix.
 
-    Building an expansion means slicing the genotype matrix, running
-    ``np.unique`` over the rows and enumerating up to ``2^(h-1)`` phase pairs
-    per class; the GA re-evaluates the same haplotype many times (elitism,
-    re-insertion, the affected/unaffected/pooled triple of the LRT), so the
-    expansion is worth memoising per sorted SNP tuple.
+    Building an expansion means counting the genotype classes of the SNP
+    columns and gathering up to ``2^(h-1)`` phase pairs per class; the GA
+    re-evaluates the same haplotype many times (elitism, re-insertion, the
+    affected/unaffected/pooled triple of the LRT), so the expansion is worth
+    memoising per sorted SNP tuple.
 
     Parameters
     ----------
     genotypes:
         The full ``(n_individuals, n_snps)`` genotype matrix the cached
-        expansions are column subsets of — either a byte matrix or a 2-bit
-        :class:`~repro.genetics.packed.PackedPanel` (misses then build
-        through :func:`expand_phases_packed`, never touching byte storage).
+        expansions are column subsets of — either a 2-bit
+        :class:`~repro.genetics.packed.PackedPanel` or a byte matrix, which
+        is packed once, here.  Every miss builds through
+        :func:`expand_phases_packed`.
     max_size:
         Bound on the number of cached expansions (least-recently-used entries
         are evicted); ``None`` means unbounded.
@@ -520,14 +662,12 @@ class PhaseExpansionCache:
     ) -> None:
         if max_size is not None and max_size <= 0:
             raise ValueError("max_size must be positive or None")
-        if isinstance(genotypes, PackedPanel):
-            self._panel: PackedPanel | None = genotypes
-            self._genotypes = None
-        else:
-            self._panel = None
-            self._genotypes = np.asarray(genotypes)
-            if self._genotypes.ndim != 2:
+        if not isinstance(genotypes, PackedPanel):
+            genotypes = np.asarray(genotypes)
+            if genotypes.ndim != 2:
                 raise ValueError("genotypes must be 2-D (individuals x loci)")
+            genotypes = PackedPanel(pack_genotypes(genotypes), genotypes.shape[0])
+        self._panel = genotypes
         self._cache: LRUCache = LRUCache(max_size)
         self._hits = 0
         self._misses = 0
@@ -568,10 +708,7 @@ class PhaseExpansionCache:
             self._hits += 1
             return cached
         self._misses += 1
-        if self._panel is not None:
-            expansion = expand_phases_packed(self._panel, np.asarray(key, dtype=np.intp))
-        else:
-            expansion = expand_phases(self._genotypes[:, np.asarray(key, dtype=np.intp)])
+        expansion = expand_phases_packed(self._panel, np.asarray(key, dtype=np.intp))
         self._cache.put(key, expansion)
         return expansion
 

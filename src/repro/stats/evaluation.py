@@ -25,9 +25,12 @@ The evaluator keeps two layers of reuse, both keyed on the sorted SNP tuple
 do):
 
 * **expansion reuse** — one :class:`~repro.stats.em.PhaseExpansionCache` per
-  group, so re-evaluating a haplotype never repeats genotype slicing,
-  ``np.unique`` or phase-pair enumeration; the pooled case+control expansion
-  of the LRT path is built by *concatenating* the two group expansions
+  group over that group's 2-bit packed panel (a byte dataset's groups are
+  packed once, at construction), so every expansion counts its genotype
+  classes as radix codes (:func:`~repro.stats.em.expand_phases_packed`,
+  with or without the caches) and re-evaluating a haplotype never repeats
+  it; the pooled case+control expansion of the LRT path is built by
+  *concatenating* the two group expansions
   (:func:`~repro.stats.em.concat_expansions`) instead of re-expanding the
   pooled genotype matrix;
 * **result reuse** — a bounded LRU of finished :class:`EHDiallResult` per
@@ -62,7 +65,6 @@ from .em import (
     PhaseExpansion,
     PhaseExpansionCache,
     concat_expansions,
-    expand_phases,
     expand_phases_packed,
 )
 
@@ -156,8 +158,10 @@ class HaplotypeEvaluator:
         if cache_size is not None and cache_size < 0:
             raise ValueError("cache_size must be non-negative or None")
         self._dataset = dataset
-        self._affected = dataset.affected()
-        self._unaffected = dataset.unaffected()
+        # every fitness expansion counts classes from a packed panel: a group
+        # without one is packed here, once
+        self._affected = dataset.affected().with_packed()
+        self._unaffected = dataset.unaffected().with_packed()
         self._statistic = statistic
         self._em_max_iter = int(em_max_iter)
         self._em_tol = float(em_tol)
@@ -174,22 +178,9 @@ class HaplotypeEvaluator:
         enabled = size is None or size > 0
         self._expansion_caches: dict[str, PhaseExpansionCache] | None = None
         if enabled:
-            # packed-aware group panels: when a group dataset carries a 2-bit
-            # panel, cache misses count classes straight from packed columns
-            # (expand_phases_packed) instead of slicing the byte matrix
             self._expansion_caches = {
-                "affected": PhaseExpansionCache(
-                    self._affected.packed
-                    if self._affected.packed is not None
-                    else self._affected.genotypes,
-                    max_size=size,
-                ),
-                "unaffected": PhaseExpansionCache(
-                    self._unaffected.packed
-                    if self._unaffected.packed is not None
-                    else self._unaffected.genotypes,
-                    max_size=size,
-                ),
+                "affected": PhaseExpansionCache(self._affected.packed, max_size=size),
+                "unaffected": PhaseExpansionCache(self._unaffected.packed, max_size=size),
             }
         self._result_caches: dict[str, LRUCache] | None = (
             {group: LRUCache(size) for group in _GROUPS} if enabled else None
@@ -282,9 +273,7 @@ class HaplotypeEvaluator:
             # cache can use it as-is instead of re-sorting per lookup
             return self._expansion_caches[group].get(snps, presorted=True)
         source = self._affected if group == "affected" else self._unaffected
-        if source.packed is not None:
-            return expand_phases_packed(source.packed, np.asarray(snps, dtype=np.intp))
-        return expand_phases(source.genotypes_at(np.asarray(snps, dtype=np.intp)))
+        return expand_phases_packed(source.packed, np.asarray(snps, dtype=np.intp))
 
     def _remember(self, group: str, snps: tuple[int, ...], result: EHDiallResult) -> None:
         if self._result_caches is not None:

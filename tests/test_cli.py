@@ -189,6 +189,39 @@ class TestCommands:
         assert "different scan" in err and "config_digest" in err
         assert "Traceback" not in err
 
+    def test_scan_resume_without_a_journal_says_it_starts_fresh(self, tmp_path, capsys):
+        study_dir = tmp_path / "study"
+        main(["simulate", str(study_dir), "--n-snps", "12",
+              "--n-affected", "12", "--n-unaffected", "12", "--seed", "5"])
+        checkpoint = tmp_path / "scan.jsonl"
+        capsys.readouterr()
+        assert main(["scan", str(study_dir), "--window-size", "6", "--window-overlap", "2",
+                     "--population-size", "6", "--max-size", "2", "--stagnation", "1",
+                     "--max-generations", "2", "--seed", "17",
+                     "--checkpoint", str(checkpoint), "--resume"]) == 0
+        out, err = capsys.readouterr()
+        assert f"scan --resume: no journal at {checkpoint}; starting a fresh scan" in err
+        assert "restored from the checkpoint journal" not in out
+        assert checkpoint.exists()
+
+    def test_scan_resume_of_a_complete_journal_reports_restored_windows(
+        self, tmp_path, capsys
+    ):
+        study_dir = tmp_path / "study"
+        main(["simulate", str(study_dir), "--n-snps", "12",
+              "--n-affected", "12", "--n-unaffected", "12", "--seed", "5"])
+        scan = ["scan", str(study_dir), "--window-size", "6", "--window-overlap", "2",
+                "--population-size", "6", "--max-size", "2", "--stagnation", "1",
+                "--max-generations", "2", "--seed", "17",
+                "--checkpoint", str(tmp_path / "scan.jsonl")]
+        assert main(scan) == 0
+        capsys.readouterr()
+        assert main(scan + ["--resume"]) == 0
+        out, err = capsys.readouterr()
+        # 12 loci in windows of 6 overlapping by 2: all 3 windows restored
+        assert "; 3 window(s) restored from the checkpoint journal" in out
+        assert "no journal" not in err
+
     def test_scan_cost_model_file_must_be_valid(self, tmp_path, capsys):
         model_path = tmp_path / "cost.json"
         model_path.write_text('{"base_seconds": 0.001}')

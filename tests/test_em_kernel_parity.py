@@ -12,10 +12,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.genetics.packed import PackedPanel, pack_genotypes
+from repro.stats import em
 from repro.stats.em import (
+    _TABLE_MAX_LOCI,
     PhaseExpansion,
     PhaseExpansionCache,
     _genotype_pairs,
+    _phase_table,
     concat_expansions,
     estimate_from_expansion,
     estimate_haplotype_frequencies,
@@ -136,6 +139,84 @@ class TestExpansionParity:
         _assert_same_expansion(packed, new)
         _assert_carried_layout_matches_derived(new)
         _assert_carried_layout_matches_derived(packed)
+
+    @pytest.mark.parametrize("n_loci", range(1, 11))
+    def test_both_builders_match_the_seed_reference_at_every_size(
+        self, n_loci, monkeypatch
+    ):
+        """Sizes up to 8 gather from the phase tables; 9 and 10 enumerate."""
+        tails = []
+
+        def spy(name):
+            original = getattr(em, name)
+
+            def recorded(*args):
+                tails.append(name)
+                return original(*args)
+
+            return recorded
+
+        for name in ("_expansion_from_codes", "_expansion_from_classes"):
+            monkeypatch.setattr(em, name, spy(name))
+        rng = np.random.default_rng(1000 + n_loci)
+        n = 57
+        genotypes = rng.integers(0, 3, size=(n, n_loci + 3)).astype(np.int8)
+        genotypes[rng.random(genotypes.shape) < 0.04] = -1
+        genotypes[:, 0] = 1  # monomorphic heterozygous
+        genotypes[:, 1] = 2  # monomorphic homozygous
+        genotypes[:, 2] = -1  # a failed SNP
+        random_loci = list(range(3, n_loci + 3))
+        panel = PackedPanel(pack_genotypes(genotypes), n).row_window(2, n)
+        rows = genotypes[2:]
+        subsets = {
+            "random": random_loci,
+            "reversed": random_loci[::-1],
+            "monomorphic": ([0, 1] + random_loci)[:n_loci],
+            "failed": [2] + random_loci[: n_loci - 1],
+        }
+        for name, subset in subsets.items():
+            idx = np.asarray(subset, dtype=np.intp)
+            byte = expand_phases(rows[:, idx])
+            packed = expand_phases_packed(panel, idx)
+            reference = reference_expand_phases(rows[:, idx])
+            for built in (byte, packed):
+                _assert_same_expansion(built, reference, _PAIR_FIELDS)
+                _assert_carried_layout_matches_derived(built)
+            _assert_same_expansion(packed, byte)
+            complete = rows[:, idx][~np.any(rows[:, idx] == -1, axis=1)]
+            if name == "failed":
+                assert byte.n_classes == 0 and byte.class_genotypes.shape == (0, n_loci)
+            else:
+                np.testing.assert_array_equal(
+                    byte.class_genotypes, np.unique(complete, axis=0)
+                )
+                assert byte.class_genotypes.dtype == np.int8
+        expected_tail = (
+            "_expansion_from_codes" if n_loci <= 8 else "_expansion_from_classes"
+        )
+        assert set(tails) == {expected_tail}
+
+    def test_inputs_outside_the_table_codes_are_enumerated(self):
+        """Float codes and integers outside 0/1/2 bypass the phase tables."""
+        codes = np.array([[0, 1, 2], [1, 1, 0], [2, 1, 1], [1, 1, 0]], dtype=np.int8)
+        floats = codes.astype(np.float64)
+        expansion = expand_phases(floats)
+        _assert_same_expansion(expansion, expand_phases(codes), _PAIR_FIELDS)
+        assert expansion.class_genotypes.dtype == np.float64
+        foreign = np.array([[3, 0, 1], [1, 1, 0], [-2, 2, 1]], dtype=np.int8)
+        classes, counts = np.unique(foreign, axis=0, return_counts=True)
+        _assert_same_expansion(
+            expand_phases(foreign), em._expansion_from_classes(classes, counts)
+        )
+
+    @pytest.mark.parametrize("n_loci", [1, 4, _TABLE_MAX_LOCI])
+    def test_phase_tables_are_built_once_and_refuse_writes(self, n_loci):
+        table = _phase_table(n_loci)
+        assert _phase_table(n_loci) is table
+        for name, array in vars(table).items():
+            assert not array.flags.writeable, name
+            with pytest.raises(ValueError, match="read-only"):
+                array[...] = 0
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(min_value=1, max_value=8).flatmap(

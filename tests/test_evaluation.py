@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.genetics.dataset import GenotypeDataset
+from repro.genetics.dataset import GenotypeDataset, as_packed_dataset
+from repro.stats import em, evaluation
 from repro.stats.evaluation import HaplotypeEvaluator
 
 from conftest import SMALL_CAUSAL
@@ -130,3 +131,30 @@ class TestPickling:
         assert clone.evaluate(SMALL_CAUSAL) == pytest.approx(
             small_evaluator.evaluate(SMALL_CAUSAL)
         )
+
+
+class TestFitnessRoute:
+    """Every fitness expansion counts genotype classes from a packed panel."""
+
+    BATCH = [(2, 5), (2, 5, 9), (0, 13), (4, 6, 10), (2, 5), (1, 3, 7, 11)]
+
+    @pytest.mark.parametrize("statistic", ["t1", "lrt"])
+    @pytest.mark.parametrize("cache_size", [0, 256])
+    def test_byte_dataset_never_calls_the_byte_builder(
+        self, small_dataset, monkeypatch, cache_size, statistic
+    ):
+        packed = HaplotypeEvaluator(
+            as_packed_dataset(small_dataset), cache_size=cache_size, statistic=statistic
+        )
+        expected = [packed.evaluate(snps) for snps in self.BATCH]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a fitness expansion reached expand_phases")
+
+        monkeypatch.setattr(em, "expand_phases", refuse)
+        monkeypatch.setattr(evaluation, "expand_phases", refuse, raising=False)
+        byte = HaplotypeEvaluator(small_dataset, cache_size=cache_size, statistic=statistic)
+        assert small_dataset.packed is None
+        assert byte.evaluate_many(self.BATCH) == expected
+        assert [byte.evaluate(snps) for snps in self.BATCH] == expected
+        assert [byte.evaluate_detailed(snps).fitness for snps in self.BATCH] == expected

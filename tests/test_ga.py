@@ -1,11 +1,9 @@
 """Integration tests of the adaptive multi-population GA."""
 
-import numpy as np
 import pytest
 
 from repro.core.config import GAConfig
 from repro.core.ga import AdaptiveMultiPopulationGA
-from repro.genetics.constraints import build_constraints
 from repro.parallel.serial import SerialEvaluator
 from repro.stats.cache import CachedEvaluator
 

@@ -78,6 +78,40 @@ class TestDependencies:
         third_party = imported - set(sys.stdlib_module_names) - {"repro"}
         assert third_party <= declared, sorted(third_party - declared)
 
+    def test_no_unused_imports(self):
+        """Every name a ``src/repro`` module imports is used in that module.
+
+        ``__init__.py`` imports are re-exports, and an import line marked
+        ``# noqa`` is kept on purpose (an availability probe).  A name counts
+        as used when it appears as a ``Name`` node or as a token of a string
+        constant (string annotations, ``__all__``).
+        """
+        unused = []
+        for path in sorted((_ROOT / "src" / "repro").rglob("*.py")):
+            if path.name == "__init__.py":
+                continue
+            source = path.read_text()
+            lines = source.splitlines()
+            tree = ast.parse(source, filename=str(path))
+            used = set()
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Name):
+                    used.add(node.id)
+                elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                    used.update(re.findall(r"[A-Za-z_]\w*", node.value))
+            for node in ast.walk(tree):
+                if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                    continue
+                if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                    continue
+                if "# noqa" in lines[node.lineno - 1]:
+                    continue
+                for alias in node.names:
+                    name = (alias.asname or alias.name).split(".")[0]
+                    if name not in used:
+                        unused.append(f"{path.relative_to(_ROOT)}:{node.lineno} {name}")
+        assert not unused, unused
+
     def test_serving_stack_does_not_import_scipy_stats(self):
         """The CLI, daemon, farm and scan need only ``scipy.special``: loading
         ``scipy.stats`` adds about 45 MB to every process's resident memory."""

@@ -137,6 +137,22 @@ class TestPackKernels:
         expected = digits[:, 0] * 16 + digits[:, 1] * 4 + digits[:, 2]
         np.testing.assert_array_equal(panel.codes(idx), expected)
 
+    @pytest.mark.parametrize("n_loci", [1, 3, 15, 16])
+    @pytest.mark.parametrize("row_start", [0, 1, 2, 3])
+    def test_codes_match_byte_reference_at_every_row_offset(self, rng, row_start, n_loci):
+        # an affected-first panel's unaffected group starts mid-byte
+        g = _random_genotypes(rng, 43, 20)
+        stop = row_start + 37
+        panel = PackedPanel(pack_genotypes(g), 43).row_window(row_start, stop)
+        idx = rng.choice(20, size=n_loci, replace=False).astype(np.intp)
+        digits = np.where(g[row_start:stop, idx] < 0, CODE_MISSING, g[row_start:stop, idx])
+        expected = np.zeros(stop - row_start, dtype=np.int64)
+        for column in digits.T.astype(np.int64):
+            expected = expected * 4 + column
+        codes = panel.codes(idx)
+        assert codes.dtype == (np.int32 if n_loci <= 15 else np.int64)
+        np.testing.assert_array_equal(codes, expected)
+
     def test_reorder_individuals_matches_fancy_indexing(self, rng):
         g = _random_genotypes(rng, 33, 40)
         panel = PackedPanel(pack_genotypes(g), 33)

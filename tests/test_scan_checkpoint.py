@@ -30,7 +30,7 @@ from repro.scan import (
     plan_scan,
     run_scan,
 )
-from repro.scan.report import WindowResult
+from repro.scan.report import ScanReport, WindowResult
 from repro.testing.faults import ChaosPolicy, chaos_wrapper
 
 WINDOW_SIZE = 4
@@ -307,6 +307,54 @@ class TestChromosomeScaleFaultTolerance:
         )
         assert resumed.fingerprint() == reference.fingerprint()
         assert resumed.stats.n_requests == 0  # every window restored from disk
+
+
+class TestRestoredWindowCount:
+    """A resumed scan reports how many of its windows came from the journal."""
+
+    @pytest.fixture(scope="class")
+    def dataset(self):
+        return lille_like_study(
+            seed=9, n_affected=12, n_unaffected=12, n_snps=14
+        ).dataset
+
+    def _scan(self, dataset, checkpoint, **kwargs):
+        return run_scan(
+            dataset,
+            window_size=6,
+            overlap=3,
+            config=GAConfig(population_size=8, max_haplotype_size=3,
+                            termination_stagnation=2, max_generations=3),
+            seed=11,
+            checkpoint_path=checkpoint,
+            **kwargs,
+        )
+
+    def test_interrupted_scan_resumes_reporting_its_restored_windows(
+        self, dataset, tmp_path
+    ):
+        checkpoint = tmp_path / "scan.jsonl"
+        seen = 0
+
+        def die_after_two(result):
+            nonlocal seen
+            seen += 1
+            if seen >= 2:
+                raise _Interrupted()
+
+        with pytest.raises(_Interrupted):
+            self._scan(dataset, checkpoint, progress=die_after_two)
+        resumed = self._scan(dataset, checkpoint, resume=True)
+        cold = self._scan(dataset, tmp_path / "cold.jsonl")
+        assert resumed.n_restored_windows == 2
+        assert cold.n_restored_windows == 0
+        assert resumed.fingerprint() == cold.fingerprint()
+        assert "; 2 window(s) restored from the checkpoint journal" in resumed.format()
+        assert "restored" not in cold.format()
+        payload = resumed.to_json()
+        assert ScanReport.from_json(payload).n_restored_windows == 2
+        payload.pop("n_restored_windows")  # a payload written before the count
+        assert ScanReport.from_json(payload).n_restored_windows == 0
 
 
 class TestResumeUnderAnotherConfig:
